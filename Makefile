@@ -23,14 +23,14 @@ bench:
 # ring and its broadcast sibling, the compact-vs-fixed event codec, the
 # workers' local page-split/filter scan, the producer-side summary stamp and
 # the worker skip-scan it buys, the per-refill label snapshot, the
-# sync-vs-async per-access hook cost, the sharded and parallel-execution
-# main-table measurements, and the racy-workload quiescing pair.
+# sync-vs-async per-access hook cost, the sharded main-table measurement,
+# and the racy-workload quiescing pair.
 bench-hot:
 	$(GO) test -run '^$$' -bench 'BenchmarkTreapInsert|BenchmarkShadowDirectory' -benchmem ./internal/core ./internal/shadow
 	$(GO) test -run '^$$' -bench 'BenchmarkRing|BenchmarkBcastRing|BenchmarkEventEncode|BenchmarkEventDecode|BenchmarkWorkerSplit|BenchmarkWorkerScan|BenchmarkSummaryStamp|BenchmarkWorkerSkipScan' -benchmem ./internal/evstream
 	$(GO) test -run '^$$' -bench 'BenchmarkViewPerRefill' -benchmem ./internal/depa
 	$(GO) test -run '^$$' -bench 'BenchmarkHookOverhead|BenchmarkRunnerReset' -benchmem .
-	$(GO) test -run '^$$' -bench 'BenchmarkFig5Sharded|BenchmarkFig5ParallelDetect|BenchmarkFig5RacyQuiesce' -benchtime 10x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkFig5Sharded|BenchmarkFig5RacyQuiesce' -benchtime 10x -benchmem .
 
 # Decode-kernel sweep: every op mix (sequential same-size, range-heavy,
 # random-address, ctl-dense) across the three decode paths (fixed slice
@@ -88,13 +88,14 @@ bench-diff-all:
 tables:
 	$(GO) run ./cmd/stint-tables -reps 3 all
 
-# Short fuzz sessions over the four fuzz targets.
+# Short fuzz sessions over every fuzz target.
 fuzz:
 	$(GO) test -fuzz=FuzzTreeAgainstOracle -fuzztime=30s ./internal/core
 	$(GO) test -fuzz=FuzzSetRangeFlush -fuzztime=30s ./internal/coalesce
 	$(GO) test -fuzz=FuzzEventCodec -fuzztime=30s ./internal/evstream
 	$(GO) test -fuzz=FuzzReplay -fuzztime=30s ./trace
 	$(GO) test -fuzz=FuzzAsyncAgainstSync -fuzztime=30s .
+	$(GO) test -fuzz=FuzzSyncAgainstOracle -fuzztime=30s .
 
 vet:
 	$(GO) vet ./...

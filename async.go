@@ -33,7 +33,6 @@
 package stint
 
 import (
-	"sync/atomic"
 	"time"
 
 	"stint/internal/coalesce"
@@ -72,19 +71,6 @@ type asyncState struct {
 	shards    int
 	summarize bool
 	prodStamp bool
-	// Parallel-detect mode (parallel.go) replaces the producer ring with a
-	// multi-producer chunk queue and shared batch pool; ring and batch are
-	// nil. nextTask hands out task identities to spawned children (the
-	// root is 0), execBusy accumulates the executor goroutines' busy
-	// nanoseconds, mergeCtl counts the structure events the merge
-	// synthesized from chunk terminators, and reorderPeak records the
-	// merge's reorder-buffer high-water mark.
-	queue       *evstream.TaskQueue
-	pool        *evstream.BatchPool
-	nextTask    atomic.Uint64
-	execBusy    atomic.Int64
-	mergeCtl    uint64
-	reorderPeak int
 	// viewSnaps counts the label stage's depa.View snapshots (sharded mode;
 	// written by the label stage, read after graph.Wait).
 	viewSnaps uint64
@@ -104,8 +90,7 @@ type asyncState struct {
 	// per-access fast path stays two loads. The drop is sound because the
 	// producer is strictly ahead of the detector in stream order: any page
 	// it observes quiesced reached its threshold at an earlier stream
-	// position, so the engine would ignore the event anyway. (Parallel-
-	// detect executors have no such ordering and never set this field.)
+	// position, so the engine would ignore the event anyway.
 	quiesce *detect.QuiesceSet
 	qlive   bool
 }
@@ -126,27 +111,15 @@ func newAsyncState(ringDepth, batchEvents int, compact bool) *asyncState {
 	}
 }
 
-// reset re-arms the pipeline state for another run: the rings, queue, and
-// batch pool retain their warm capacity, every per-run result field zeroes,
-// and the producer's working batch — nilled by drain — is re-armed from the
-// ring's free list. The stage graph is per-run (its done channel cannot be
+// reset re-arms the pipeline state for another run: the rings retain
+// their warm capacity, every per-run result field zeroes, and the
+// producer's working batch — nilled by drain — is re-armed from the ring's
+// free list. The stage graph is per-run (its done channel cannot be
 // reused) and is recreated by Run before launch.
 func (as *asyncState) reset() {
-	if as.ring != nil {
-		as.ring.Reset()
-		as.batch = as.ring.Get()
-	}
-	if as.queue != nil {
-		as.queue.Reset()
-	}
-	if as.pool != nil {
-		as.pool.Reset()
-	}
+	as.ring.Reset()
+	as.batch = as.ring.Get()
 	as.graph = nil
-	as.nextTask.Store(0)
-	as.execBusy.Store(0)
-	as.mergeCtl = 0
-	as.reorderPeak = 0
 	as.viewSnaps = 0
 	as.strands = 0
 	as.stats = Stats{}

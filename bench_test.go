@@ -208,36 +208,6 @@ func BenchmarkFig5ShardedEncoding(b *testing.B) {
 	}
 }
 
-// BenchmarkFig5ParallelDetect repeats the Figure 5 measurement with the
-// program itself executing in parallel (Options.ParallelDetect) over 4
-// detection shards. exec-busy-ms sums the task goroutines' execution-and-
-// encoding time — divide by the core count for the executor side's
-// multi-core floor — while merge-busy-ms is the deterministic merge's
-// serial labeling-and-reordering time and max-shard-ms the busiest
-// detection worker; the pipeline's critical path is the max of the three.
-// On a single core everything timeshares, so read the busy split for
-// headroom rather than expecting a wall-clock win over BenchmarkFig5.
-func BenchmarkFig5ParallelDetect(b *testing.B) {
-	modes := []stint.Detector{stint.DetectorCompRTS, stint.DetectorSTINT}
-	for _, wl := range benchFactories() {
-		for _, mode := range modes {
-			b.Run(fmt.Sprintf("%s/%v", wl.name, mode), func(b *testing.B) {
-				rep := runDetectionOpts(b, wl.f, stint.Options{Detector: mode, ParallelDetect: true, DetectShards: 4})
-				b.ReportMetric(float64(rep.Stats.PipelineDetectTime.Nanoseconds())/1e6, "detect-busy-ms")
-				b.ReportMetric(float64(rep.ExecutorBusy.Nanoseconds())/1e6, "exec-busy-ms")
-				b.ReportMetric(float64(rep.SequencerBusy.Nanoseconds())/1e6, "merge-busy-ms")
-				var max time.Duration
-				for _, d := range rep.ShardBusy {
-					if d > max {
-						max = d
-					}
-				}
-				b.ReportMetric(float64(max.Nanoseconds())/1e6, "max-shard-ms")
-			})
-		}
-	}
-}
-
 // BenchmarkFig5RacyQuiesce measures per-page quiescing on the racy
 // workload variants, where it earns its keep: a hot racy page keeps
 // producing the same races, and once PageQuiesceThreshold of them are

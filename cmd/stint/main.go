@@ -4,7 +4,7 @@
 // Usage:
 //
 //	stint -workload mmul -detector stint [-scale 2] [-races 10] [-timing]
-//	      [-async] [-parallel-detect] [-shards N] [-no-summaries] [-no-compact]
+//	      [-async] [-shards N] [-no-summaries] [-no-compact]
 //	      [-stamp auto|producer|label] [-quiesce N] [-max-history BYTES]
 //
 // Detectors: off, reach, vanilla, compiler, comp+rts, stint,
@@ -34,8 +34,7 @@ func main() {
 		races       = flag.Int("races", 10, "max races to print")
 		timing      = flag.Bool("timing", false, "measure access-history time separately")
 		async       = flag.Bool("async", false, "pipeline detection on a dedicated goroutine (overlaps compute with the access history)")
-		parDetect   = flag.Bool("parallel-detect", false, "execute the program's spawns on real goroutines with online detection behind a deterministic merge (comp+rts and stint variants only)")
-		shards      = flag.Int("shards", 0, "partition pipelined detection across N workers by shadow page (implies -async unless -parallel-detect; comp+rts and stint variants only)")
+		shards      = flag.Int("shards", 0, "partition pipelined detection across N workers by shadow page (implies -async; comp+rts and stint variants only)")
 		noSummaries = flag.Bool("no-summaries", false, "disable per-batch page summaries in sharded mode (workers scan every batch; for before/after measurement)")
 		noCompact   = flag.Bool("no-compact", false, "stream fixed 16-byte events instead of the compact delta encoding (for before/after measurement)")
 		stamp       = flag.String("stamp", "auto", "which stage stamps batch summaries in sharded mode: auto, producer, or label")
@@ -65,7 +64,7 @@ func main() {
 		os.Exit(2)
 	}
 	err = run(*workload, *detector, *scale, *races, *timing,
-		(*async || *shards > 0) && !*parDetect, *parDetect, *shards, *noSummaries, *noCompact, stamping, *traceOut,
+		*async || *shards > 0, *shards, *noSummaries, *noCompact, stamping, *traceOut,
 		*quiesce, *maxHistory)
 	if *memProfile != "" {
 		if perr := writeMemProfile(*memProfile); perr != nil {
@@ -100,7 +99,7 @@ func writeMemProfile(path string) error {
 	return pprof.Lookup("allocs").WriteTo(f, 0)
 }
 
-func run(workload, detector string, scale, maxRaces int, timing, async, parDetect bool, shards int, noSummaries, noCompact bool, stamping stint.SummaryStamping, traceOut string, quiesce int, maxHistory int64) error {
+func run(workload, detector string, scale, maxRaces int, timing, async bool, shards int, noSummaries, noCompact bool, stamping stint.SummaryStamping, traceOut string, quiesce int, maxHistory int64) error {
 	factory, err := workloads.ByName(workload, scale)
 	if err != nil {
 		return err
@@ -118,7 +117,6 @@ func run(workload, detector string, scale, maxRaces int, timing, async, parDetec
 		MaxRacesRecorded:      maxRaces,
 		TimeAccessHistory:     timing,
 		Async:                 async,
-		ParallelDetect:        parDetect,
 		DetectShards:          shards,
 		DisableBatchSummaries: noSummaries,
 		DisableCompactEvents:  noCompact,
@@ -143,13 +141,7 @@ func run(workload, detector string, scale, maxRaces int, timing, async, parDetec
 	setupStart := time.Now()
 	w.Setup(r)
 	pipe := ""
-	if parDetect {
-		n := shards
-		if n == 0 {
-			n = 1
-		}
-		pipe = fmt.Sprintf(", parallel execution, %d detection shards", n)
-	} else if async && mode != stint.DetectorOff {
+	if async && mode != stint.DetectorOff {
 		pipe = ", async pipeline"
 		if shards > 0 {
 			pipe = fmt.Sprintf(", async pipeline, %d detection shards", shards)

@@ -102,11 +102,7 @@ func allocBufs(r *Runner) ([]*Buffer, []int) {
 func racingWordsFor(t *testing.T, d Detector, async bool, acts []act) map[Addr]bool {
 	t.Helper()
 	words := make(map[Addr]bool)
-	r, err := NewRunner(Options{Detector: d, Async: async, OnRace: func(rc Race) {
-		for a := rc.Addr &^ 3; a < rc.Addr+rc.Size; a += 4 {
-			words[a] = true
-		}
-	}})
+	r, err := NewRunner(Options{Detector: d, Async: async, OnRace: func(rc Race) { addRaceWords(words, rc) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +116,40 @@ func racingWordsFor(t *testing.T, d Detector, async bool, acts []act) map[Addr]b
 	return words
 }
 
-// oracleWordsFor runs the program under the brute-force oracle engine.
+// addRaceWords marks every shadow word rc overlaps.
+func addRaceWords(words map[Addr]bool, rc Race) {
+	for a := rc.Addr &^ 3; a < rc.Addr+rc.Size; a += 4 {
+		words[a] = true
+	}
+}
+
+// racingWords runs acts synchronously on a fresh Runner under opts, over
+// the buffers alloc creates, and flattens its race reports to a word set.
+func racingWords(t testing.TB, opts Options, alloc func(*Runner) ([]*Buffer, []int), acts []act) map[Addr]bool {
+	t.Helper()
+	words := make(map[Addr]bool)
+	opts.OnRace = func(rc Race) { addRaceWords(words, rc) }
+	r, err := NewRunner(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bufs, _ := alloc(r)
+	if _, err := r.Run(func(task *Task) { runActs(task, bufs, acts) }); err != nil {
+		t.Fatal(err)
+	}
+	return words
+}
+
+// oracleWordsFor runs the program under the brute-force oracle engine over
+// the suite's buffers.
 func oracleWordsFor(t *testing.T, acts []act) map[Addr]bool {
+	t.Helper()
+	return oracleWords(t, allocBufs, acts)
+}
+
+// oracleWords runs acts under the brute-force oracle engine, over the
+// buffers alloc creates.
+func oracleWords(t testing.TB, alloc func(*Runner) ([]*Buffer, []int), acts []act) map[Addr]bool {
 	t.Helper()
 	r, err := NewRunner(Options{Detector: DetectorVanilla})
 	if err != nil {
@@ -132,7 +160,7 @@ func oracleWordsFor(t *testing.T, acts []act) map[Addr]bool {
 		det = oracle.New(sp)
 		return det
 	}
-	bufs, _ := allocBufs(r)
+	bufs, _ := alloc(r)
 	if _, err := r.Run(func(task *Task) { runActs(task, bufs, acts) }); err != nil {
 		t.Fatal(err)
 	}
@@ -171,10 +199,6 @@ type pipeOpts struct {
 	nosum     bool
 	nocompact bool
 	stamp     SummaryStamping
-	// parallel selects ParallelDetect instead of Async: real goroutines,
-	// chunk queue, deterministic merge. shards then names the worker count
-	// (0 means one worker).
-	parallel bool
 	// quiesce adds the fuzzer's per-page quiescing differential legs
 	// (PageQuiesceThreshold 2 on every mode).
 	quiesce bool
@@ -192,10 +216,7 @@ func reportForOpts(t *testing.T, d Detector, shards int, po pipeOpts, acts []act
 		DisableCompactEvents:  po.nocompact,
 		SummaryStamping:       po.stamp,
 	}
-	if po.parallel {
-		opts.ParallelDetect = true
-		opts.DetectShards = shards
-	} else if shards >= 0 {
+	if shards >= 0 {
 		opts.Async = true
 		opts.DetectShards = shards
 	}
@@ -203,7 +224,7 @@ func reportForOpts(t *testing.T, d Detector, shards int, po pipeOpts, acts []act
 	if err != nil {
 		t.Fatal(err)
 	}
-	if po.parallel || shards >= 0 {
+	if shards >= 0 {
 		r.asyncBatchEvents, r.asyncRingDepth = 8, 2
 	}
 	bufs, _ := allocBufs(r)
@@ -259,31 +280,6 @@ func checkCanonicalReports(t *testing.T, seed int64, d Detector, acts []act) {
 					seed, d, n, nosum.Stats.BatchesSkipped)
 			}
 			check(fmt.Sprintf("shards=%d nosum", n), nosum)
-			// ParallelDetect: spawns on real goroutines behind the chunk
-			// queue and deterministic merge. The documented contract is
-			// race-set equivalence, but the merge reconstructs the exact
-			// serial stream, so the suite asserts the stronger property —
-			// the whole Report identical to sync. Pipeline knobs rotate
-			// with the shard count to bound the leg count (the full
-			// shards × encoding grid runs on the Fig5 workloads in
-			// parallel_equivalence_test.go).
-			check(fmt.Sprintf("parallel-detect shards=%d", n),
-				reportForOpts(t, d, n, pipeOpts{parallel: true}, acts))
-			switch n {
-			case 1:
-				check("parallel-detect shards=1 nocompact",
-					reportForOpts(t, d, n, pipeOpts{parallel: true, nocompact: true}, acts))
-			case 2:
-				pdNosum := reportForOpts(t, d, n, pipeOpts{parallel: true, nosum: true}, acts)
-				if pdNosum.Stats.BatchesSkipped != 0 {
-					t.Fatalf("seed %d: %v parallel-detect shards=2: summaries disabled but BatchesSkipped = %d",
-						seed, d, pdNosum.Stats.BatchesSkipped)
-				}
-				check("parallel-detect shards=2 nosum", pdNosum)
-			case 4:
-				check("parallel-detect shards=4 nocompact nosum",
-					reportForOpts(t, d, n, pipeOpts{parallel: true, nocompact: true, nosum: true}, acts))
-			}
 		}
 	}
 }
@@ -359,43 +355,6 @@ func TestDetectorEquivalenceDeepPrograms(t *testing.T) {
 			return base
 		}
 		checkEquivalence(t, seed, grow(4))
-	}
-}
-
-// TestParallelDetectRunToRunDeterminism pins the second half of the
-// ParallelDetect contract: beyond matching sync's race set, repeated runs
-// of the same program must be byte-identical to each other — the merge
-// order is a function of the program, not the schedule. Racy programs
-// under fixed seeds, run back-to-back several times per configuration.
-func TestParallelDetectRunToRunDeterminism(t *testing.T) {
-	sizes := make([]int, len(bufSpecs))
-	for i, s := range bufSpecs {
-		sizes[i] = s.elems
-	}
-	for seed := int64(7000); seed < 7010; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		acts := genActs(rng, 4, sizes)
-		for _, po := range []pipeOpts{
-			{parallel: true},
-			{parallel: true, nocompact: true},
-		} {
-			first := reportForOpts(t, DetectorSTINT, 2, po, acts)
-			for run := 1; run < 4; run++ {
-				got := reportForOpts(t, DetectorSTINT, 2, po, acts)
-				if got.RaceCount != first.RaceCount || got.Strands != first.Strands {
-					t.Fatalf("seed %d run %d (%+v): RaceCount/Strands %d/%d, first run %d/%d",
-						seed, run, po, got.RaceCount, got.Strands, first.RaceCount, first.Strands)
-				}
-				if !reflect.DeepEqual(got.Races, first.Races) {
-					t.Fatalf("seed %d run %d (%+v): Races differ between identical runs\n got: %v\nfirst: %v",
-						seed, run, po, got.Races, first.Races)
-				}
-				if ns, ng := normStats(first.Stats), normStats(got.Stats); ns != ng {
-					t.Fatalf("seed %d run %d (%+v): stats differ between identical runs\n got: %+v\nfirst: %+v",
-						seed, run, po, ng, ns)
-				}
-			}
-		}
 	}
 }
 

@@ -22,12 +22,11 @@ func fuzzAllocBufs(r *Runner) ([]*Buffer, []int) {
 
 // FuzzAsyncAgainstSync decodes arbitrary bytes into a fork-join program
 // and pipeline geometry — batch capacity, ring depth, a detection shard
-// count, and a flags byte toggling the compact encoding, the summary-
-// stamping stage, and the ParallelDetect legs — runs it once synchronously,
-// once through the plain async pipeline, (when the shard byte asks for it)
-// twice sharded — once with batch summaries, once with them disabled — and
-// (when the flags byte asks for it) twice under ParallelDetect, and
-// requires identical racing-word sets, canonical race reports, strand
+// count, and a flags byte toggling the compact encoding and the summary-
+// stamping stage — runs it once synchronously, once through the plain
+// async pipeline, and (when the shard byte asks for it) twice sharded —
+// once with batch summaries, once with them disabled — and requires
+// identical racing-word sets, canonical race reports, strand
 // counts, and (timing-normalized) stats. A further flags bit re-runs the
 // mode matrix with per-page quiescing enabled and requires the quiesced
 // reports to agree across modes too. Tiny batch capacities and ring
@@ -71,14 +70,12 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 	// all 4 workers must take the full-scan path even though each owns only
 	// a slice of the pages.
 	f.Add([]byte{0x01, 0x01, 0x04, 0x00, 0x00, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x01, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x02})
-	// Parallel-detect (flags bit 3) over the cross-shard racy pair: the two
-	// racing strands execute on distinct goroutines and their chunks reach
-	// the merge in scheduler order, yet the race must land on both shards'
-	// reports exactly as in sync.
+	// Flags bit 3 is ignored (it selected a since-removed execution mode);
+	// the seeds that set it stay as extra program shapes. The cross-shard
+	// racy pair once more:
 	f.Add([]byte{0x01, 0x01, 0x02, 0x08, 0x00, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x01, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x02})
-	// Parallel-detect on a degenerate single-strand program: no spawns, so
-	// the whole stream is the root task's chunks — the reorder walk never
-	// buffers and the merge must still synthesize an identical report.
+	// A degenerate single-strand program: no spawns, so the whole stream
+	// is the root strand's accesses.
 	f.Add([]byte{0x00, 0x00, 0x01, 0x08, 0x00, 0x03, 0x00, 0x05, 0x04, 0x00, 0x06, 0x05, 0x00, 0x07})
 	// Quiescing mid-batch (flags bit 4): the page-straddling racy range pair
 	// again, now with a threshold-2 quiesce differential — the page under the
@@ -86,16 +83,13 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 	// sharded workers' local page splits must agree with sync on which piece
 	// died.
 	f.Add([]byte{0x01, 0x01, 0x02, 0x10, 0x00, 0x06, 0x03, 0x33, 0xfe, 0x00, 0x03, 0x01, 0x06, 0x03, 0x33, 0xfe, 0x00, 0x03, 0x02})
-	// The same under ParallelDetect too (bits 3+4), and with repeated racy
-	// pairs so the threshold actually trips.
+	// The same with repeated racy pairs, so the threshold actually trips.
 	f.Add([]byte{0x01, 0x01, 0x02, 0x18, 0x00, 0x06, 0x03, 0x33, 0xfe, 0x00, 0x03, 0x01, 0x06, 0x03, 0x33, 0xfe, 0x00, 0x03, 0x01, 0x06, 0x03, 0x33, 0xfe, 0x00, 0x03, 0x01, 0x06, 0x03, 0x33, 0xfe, 0x00, 0x03, 0x02})
 	// Cross-shard racy pair with quiescing: the racing span covers two full
 	// pages, so both pages accumulate races and retire on different workers.
 	f.Add([]byte{0x01, 0x01, 0x02, 0x10, 0x00, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x01, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x01, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x02})
-	// Merge-boundary straddle: one-event batches force every access into
-	// its own chunk, and a spawn-heavy body with nested children makes the
-	// chunk cuts land on every structure boundary — the deterministic merge
-	// must re-interleave the per-task chunk streams exactly.
+	// A spawn-heavy body with nested children under one-event batches:
+	// every access and structure event gets its own batch.
 	f.Add([]byte{0x00, 0x00, 0x02, 0x08, 0x00, 0x04, 0x00, 0x00, 0x04, 0x00, 0x05, 0x01, 0x01, 0x02, 0x04, 0x00, 0x05, 0x02, 0x01, 0x02})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -111,11 +105,9 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 			stats   Stats
 		}
 		// mode: -1 = synchronous, 0 = plain async, n > 0 = n-sharded async.
-		// par switches the async modes to ParallelDetect: real goroutines
-		// behind the chunk queue and deterministic merge, with mode naming
-		// the worker count (0 means one worker). nosum disables the batch
-		// summaries, forcing every worker onto the full-scan path.
-		run := func(mode int, nosum, par bool) result {
+		// nosum disables the batch summaries, forcing every worker onto the
+		// full-scan path.
+		run := func(mode int, nosum bool) result {
 			words := make(map[Addr]bool)
 			opts := Options{
 				Detector:              DetectorSTINT,
@@ -128,11 +120,7 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 					}
 				},
 			}
-			if par {
-				opts.ParallelDetect = true
-				opts.DetectShards = mode
-				opts.SummaryStamping = StampAuto // ignored by ParallelDetect
-			} else if mode >= 0 {
+			if mode >= 0 {
 				opts.Async = true
 				opts.DetectShards = mode
 			}
@@ -140,7 +128,7 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if par || mode >= 0 {
+			if mode >= 0 {
 				r.asyncBatchEvents, r.asyncRingDepth = batchEvents, ringDepth
 			}
 			bufs, _ := fuzzAllocBufs(r)
@@ -151,7 +139,7 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 			return result{words: words, races: rep.Races, strands: rep.Strands, stats: normStats(rep.Stats)}
 		}
 
-		sync := run(-1, false, false)
+		sync := run(-1, false)
 		check := func(name string, got result) {
 			if got.strands != sync.strands {
 				t.Fatalf("strands: %s %d, sync %d (batch=%d depth=%d shards=%d)\nprogram: %+v",
@@ -174,19 +162,12 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 				}
 			}
 		}
-		check("async", run(0, false, false))
+		check("async", run(0, false))
 		if shards > 0 {
-			check("sharded", run(shards, false, false))
+			check("sharded", run(shards, false))
 			// Summaries are a pure scan elision: disabling them must not
 			// change a byte of the normalized result.
-			check("sharded-nosum", run(shards, true, false))
-		}
-		if po.parallel {
-			// ParallelDetect executes the same program on real goroutines;
-			// the deterministic merge reconstructs the serial stream, so the
-			// normalized result must still match sync byte for byte.
-			check("parallel-detect", run(shards, false, true))
-			check("parallel-detect-nosum", run(shards, true, true))
+			check("sharded-nosum", run(shards, true))
 		}
 		if po.quiesce {
 			// Quiescing differential: with a threshold of 2, pages retire
@@ -197,7 +178,7 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 			// identical across every mode. Full stats are NOT compared: the
 			// producer-side drops legitimately elide hook calls the
 			// synchronous run counts.
-			qrun := func(mode int, par bool) result {
+			qrun := func(mode int) result {
 				words := make(map[Addr]bool)
 				opts := Options{
 					Detector:             DetectorSTINT,
@@ -209,10 +190,7 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 						}
 					},
 				}
-				if par {
-					opts.ParallelDetect = true
-					opts.DetectShards = mode
-				} else if mode >= 0 {
+				if mode >= 0 {
 					opts.Async = true
 					opts.DetectShards = mode
 				}
@@ -220,7 +198,7 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if par || mode >= 0 {
+				if mode >= 0 {
 					r.asyncBatchEvents, r.asyncRingDepth = batchEvents, ringDepth
 				}
 				bufs, _ := fuzzAllocBufs(r)
@@ -231,7 +209,7 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 				st := Stats{PagesQuiesced: rep.Stats.PagesQuiesced}
 				return result{words: words, races: rep.Races, strands: rep.Strands, stats: st}
 			}
-			qsync := qrun(-1, false)
+			qsync := qrun(-1)
 			qcheck := func(name string, got result) {
 				if got.strands != qsync.strands || got.stats.PagesQuiesced != qsync.stats.PagesQuiesced {
 					t.Fatalf("%s: strands/quiesced %d/%d, sync %d/%d (batch=%d depth=%d shards=%d)\nprogram: %+v",
@@ -247,12 +225,114 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 						name, len(got.words), len(qsync.words), prog)
 				}
 			}
-			qcheck("quiesce-async", qrun(0, false))
+			qcheck("quiesce-async", qrun(0))
 			if shards > 0 {
-				qcheck("quiesce-sharded", qrun(shards, false))
+				qcheck("quiesce-sharded", qrun(shards))
 			}
-			if po.parallel {
-				qcheck("quiesce-parallel-detect", qrun(shards, true))
+		}
+	})
+}
+
+// FuzzSyncAgainstOracle decodes arbitrary bytes into a fork-join program
+// and requires every runtime-coalescing detector to report exactly the
+// brute-force oracle's racing words. Each detector runs the program twice
+// on one Runner: the second, reused run (Run auto-resets) must reproduce
+// the first, fresh run's report byte for byte — races, counts, strands,
+// and (timing-normalized) stats. When the header asks for it, a third run
+// with per-page quiescing at threshold 2 must report a subset of the
+// oracle's words. It shares FuzzAsyncAgainstSync's input decoder and seed
+// programs.
+func FuzzSyncAgainstOracle(f *testing.F) {
+	f.Add([]byte{})
+	// A racy spawn/store/store/sync.
+	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x05, 0x01, 0x04, 0x00, 0x05, 0x02})
+	// Overlapping range accesses in parallel strands.
+	f.Add([]byte{0x01, 0x01, 0x02, 0x00, 0x00, 0x05, 0x01, 0x00, 0x00, 0x00, 0x20, 0x01, 0x06, 0x01, 0x00, 0x10, 0x00, 0x30, 0x02})
+	// A spawn body that is never terminated: the run ends mid-strand.
+	f.Add([]byte{0x02, 0x00, 0x00, 0x00, 0x00, 0x04, 0x02, 0x07, 0x03, 0x00, 0x01})
+	// Deep nesting with interleaved syncs.
+	f.Add([]byte{0x03, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x01, 0x02, 0x01, 0x02, 0x01, 0x04, 0x02, 0x08, 0x02})
+	// Two strands write the same 128 KiB span of the wide buffer, so the
+	// race covers two full pages.
+	f.Add([]byte{0x01, 0x01, 0x02, 0x00, 0x00, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x01, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x02})
+	// Two parallel strands write the same 16-byte range at wide index
+	// 13310, which crosses the 64 KiB boundary at index 13312, so the race
+	// itself spans the boundary.
+	f.Add([]byte{0x01, 0x01, 0x02, 0x00, 0x00, 0x06, 0x03, 0x33, 0xfe, 0x00, 0x03, 0x01, 0x06, 0x03, 0x33, 0xfe, 0x00, 0x03, 0x02})
+	// Every access on one page; the header bytes other than the quiesce
+	// bit do not change the program.
+	f.Add([]byte{0x00, 0x00, 0x04, 0x00, 0x00, 0x04, 0x00, 0x05, 0x01, 0x04, 0x00, 0x05, 0x02})
+	f.Add([]byte{0x00, 0x00, 0x04, 0x01, 0x00, 0x04, 0x00, 0x05, 0x01, 0x04, 0x00, 0x05, 0x02})
+	f.Add([]byte{0x00, 0x00, 0x04, 0x02, 0x00, 0x04, 0x00, 0x05, 0x01, 0x04, 0x00, 0x05, 0x02})
+	f.Add([]byte{0x00, 0x00, 0x04, 0x04, 0x00, 0x04, 0x00, 0x05, 0x01, 0x04, 0x00, 0x05, 0x02})
+	// Racing range writes spanning the full wide buffer (more than two
+	// pages).
+	f.Add([]byte{0x01, 0x01, 0x04, 0x00, 0x00, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x01, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x02})
+	f.Add([]byte{0x01, 0x01, 0x02, 0x08, 0x00, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x01, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x02})
+	// A single-strand program: no spawns.
+	f.Add([]byte{0x00, 0x00, 0x01, 0x08, 0x00, 0x03, 0x00, 0x05, 0x04, 0x00, 0x06, 0x05, 0x00, 0x07})
+	// Quiescing (header bit 4) under the page-straddling racy range pair:
+	// the page under the straddle retires while the range's other piece
+	// is still live.
+	f.Add([]byte{0x01, 0x01, 0x02, 0x10, 0x00, 0x06, 0x03, 0x33, 0xfe, 0x00, 0x03, 0x01, 0x06, 0x03, 0x33, 0xfe, 0x00, 0x03, 0x02})
+	// The same with repeated racy pairs, so the threshold actually trips.
+	f.Add([]byte{0x01, 0x01, 0x02, 0x18, 0x00, 0x06, 0x03, 0x33, 0xfe, 0x00, 0x03, 0x01, 0x06, 0x03, 0x33, 0xfe, 0x00, 0x03, 0x01, 0x06, 0x03, 0x33, 0xfe, 0x00, 0x03, 0x01, 0x06, 0x03, 0x33, 0xfe, 0x00, 0x03, 0x02})
+	// Quiescing a racing span that covers two full pages.
+	f.Add([]byte{0x01, 0x01, 0x02, 0x10, 0x00, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x01, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x01, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x02})
+	// A spawn-heavy body with nested children.
+	f.Add([]byte{0x00, 0x00, 0x02, 0x08, 0x00, 0x04, 0x00, 0x00, 0x04, 0x00, 0x05, 0x01, 0x01, 0x02, 0x04, 0x00, 0x05, 0x02, 0x01, 0x02})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4096 {
+			return // keep individual executions fast
+		}
+		// Only the program and the quiesce flag matter here: the pipeline
+		// geometry bytes select async legs this target does not run.
+		prog, _, _, _, po := decodeFuzzProgram(data)
+		want := oracleWords(t, fuzzAllocBufs, prog)
+		for _, d := range shardTestDetectors {
+			words := make(map[Addr]bool)
+			r, err := NewRunner(Options{
+				Detector:         d,
+				MaxRacesRecorded: 1 << 20,
+				OnRace:           func(rc Race) { addRaceWords(words, rc) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bufs, _ := fuzzAllocBufs(r)
+			run := func() *Report {
+				clear(words)
+				rep, err := r.Run(func(task *Task) { runActs(task, bufs, prog) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep
+			}
+			fresh := run()
+			if !reflect.DeepEqual(words, want) {
+				t.Fatalf("%v: %d racing words, oracle %d (%s)\nprogram: %+v",
+					d, len(words), len(want), wordSetDiff(words, want), prog)
+			}
+			reused := run()
+			if reused.RaceCount != fresh.RaceCount || reused.Strands != fresh.Strands ||
+				!reflect.DeepEqual(reused.Races, fresh.Races) ||
+				normStats(reused.Stats) != normStats(fresh.Stats) {
+				t.Fatalf("%v: reused Runner diverges from fresh\nreused: %d races, %d strands, %+v\nfresh:  %d races, %d strands, %+v\nprogram: %+v",
+					d, reused.RaceCount, reused.Strands, normStats(reused.Stats),
+					fresh.RaceCount, fresh.Strands, normStats(fresh.Stats), prog)
+			}
+			if !reflect.DeepEqual(words, want) {
+				t.Fatalf("%v: reused run reports %d racing words, oracle %d (%s)\nprogram: %+v",
+					d, len(words), len(want), wordSetDiff(words, want), prog)
+			}
+			if po.quiesce {
+				got := racingWords(t, Options{Detector: d, PageQuiesceThreshold: 2}, fuzzAllocBufs, prog)
+				for w := range got {
+					if !want[w] {
+						t.Fatalf("%v quiesced: word %#x is race-free per the oracle\nprogram: %+v", d, w, prog)
+					}
+				}
 			}
 		}
 	})
@@ -262,8 +342,8 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 // shards, pipeline flags). The first four bytes pick a tiny pipeline
 // geometry — shards of zero means "compare the plain async pipeline only";
 // the flags byte toggles the fixed encoding (bit 0), picks the summary-
-// stamping stage (bits 1-2), adds the ParallelDetect legs (bit 3), and adds
-// the per-page quiescing differential legs (bit 4) — and the rest is a
+// stamping stage (bits 1-2), and adds the per-page quiescing differential
+// legs (bit 4); bit 3 is ignored — and the rest is a
 // byte-code for act programs.
 // Every input decodes to a valid program — the fuzzer explores program
 // shapes, not parser rejections.
@@ -285,7 +365,6 @@ func decodeFuzzProgram(data []byte) ([]act, int, int, int, pipeOpts) {
 	if len(data) > 0 {
 		po.nocompact = data[0]&1 != 0
 		po.stamp = SummaryStamping(((data[0] >> 1) & 3) % 3)
-		po.parallel = data[0]&8 != 0
 		po.quiesce = data[0]&16 != 0
 		data = data[1:]
 	}

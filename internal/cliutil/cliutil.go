@@ -66,19 +66,6 @@ func PipelineReport(rep *stint.Report) []string {
 			st.EventsStreamed, st.StreamBytes,
 			float64(st.StreamBytes)/float64(st.EventsStreamed))}
 	}
-	if rep.ExecutorBusy > 0 {
-		// Parallel-detect run: the mutator itself ran on many goroutines.
-		// SequencerBusy is the deterministic merge here (it inherits the
-		// label stage's role); the reorder peak says how much scheduling
-		// skew the merge had to buffer.
-		stream = append(stream, fmt.Sprintf(
-			"parallel executors busy %v of %v wall (%s; merge stage busy %v, reorder peak %d chunks)",
-			rep.ExecutorBusy.Round(time.Microsecond),
-			rep.WallTime.Round(time.Microsecond),
-			pct(rep.ExecutorBusy, rep.WallTime),
-			rep.SequencerBusy.Round(time.Microsecond),
-			rep.ReorderPeak))
-	}
 	if rep.ShardBusy == nil {
 		return append(stream, fmt.Sprintf(
 			"detector-goroutine busy %v of %v wall (%s; multi-core floor is max of the two sides)",

@@ -100,35 +100,6 @@ func TestPipelineReportFromRealShardedRun(t *testing.T) {
 	}
 }
 
-func TestPipelineReportFromRealParallelDetectRun(t *testing.T) {
-	r, err := stint.NewRunner(stint.Options{Detector: stint.DetectorSTINT, ParallelDetect: true, DetectShards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := r.Arena().AllocWords("b", 1<<17)
-	rep, err := r.Run(func(task *stint.Task) {
-		task.Spawn(func(c *stint.Task) { c.StoreRange(buf, 0, 1<<17) })
-		task.LoadRange(buf, 0, 1<<17)
-		task.Sync()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := PipelineReport(rep)
-	var exec string
-	for _, line := range lines {
-		if strings.Contains(line, "parallel executors busy") {
-			exec = line
-		}
-	}
-	if exec == "" {
-		t.Fatalf("no executor readout in %v", lines)
-	}
-	if !strings.Contains(exec, "merge stage busy") || !strings.Contains(exec, "reorder peak") {
-		t.Errorf("executor line missing merge/reorder readout: %q", exec)
-	}
-}
-
 // TestPipelineReportShardLoad pins the scan-vs-skip readout rendering from
 // a hand-built report.
 func TestPipelineReportShardLoad(t *testing.T) {

@@ -3,6 +3,8 @@ package evstream
 import (
 	"encoding/binary"
 	"math/bits"
+
+	"stint/internal/mem"
 )
 
 // Compact wire format, v2: block-structured. A compact Batch stores its
@@ -72,7 +74,7 @@ import (
 // (pendOp/pendA/pendC/pendZZ/pendW) and seals the block into Buf when it
 // reaches BlockEvents, when a structure event arrives, or when the batch
 // is published or read (Iter/WireBytes seal as a courtesy; Ring.Publish
-// and TaskQueue.Publish seal explicitly). pendN + pendExtra +
+// seals explicitly). pendN + pendExtra +
 // blockOverhead(pendN) is the staged block's exact sealed size, so
 // Batch.Full never lets an append grow a recycled batch's buffer.
 const (
@@ -117,21 +119,14 @@ func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 // recycled batch's buffer.
 const MaxEventBytes = 32
 
-// MaxAccessSize bounds a plain access's size in bytes: the fixed Event
-// packs it in the 56 bits above the op byte, and the compact encoding
-// enforces the same limit so toggling the encoding cannot change which
-// programs are accepted. The stint hook layer validates raw-address
-// accesses before emitting.
-const MaxAccessSize = 1<<56 - 1
-
 // checkRangeFields is the shared range-operand validation: both encodings
 // (Range for the fixed form, AppendRange for the compact form) reject
 // operands outside the representable fields rather than truncate.
 func checkRangeFields(count int, elem uint64) {
-	if count < 0 || uint64(count) > MaxRangeCount {
+	if count < 0 || uint64(count) > mem.MaxRangeCount {
 		panic("evstream: range count does not fit the 32-bit count field")
 	}
-	if elem > MaxRangeElem {
+	if elem > mem.MaxRangeElem {
 		panic("evstream: range element size does not fit the 24-bit elem field")
 	}
 }
@@ -228,7 +223,7 @@ func (b *Batch) AppendAccess(op Op, addr, size uint64) {
 		b.appendFixedAccess(op, addr, size)
 		return
 	}
-	if size > MaxAccessSize {
+	if size > mem.MaxAccessSize {
 		panic("evstream: access size does not fit the 56-bit size field")
 	}
 	d := addr - b.prev
@@ -443,65 +438,6 @@ func (b *Batch) seal() {
 	b.pendExtra = 0
 	b.pendRunN = 0
 	b.pendRangeN = 0
-}
-
-// AppendFrom bulk-appends every event of src to b, reporting false — and
-// leaving b untouched — when they might not fit without growing b's
-// storage. It exists for the parallel-detect merge stage, which coalesces
-// many small per-task chunks into full-size batches. For the compact
-// encoding the rebase must understand block boundaries: only src's FIRST
-// block's deltas depend on the delta base (its first event deltas from
-// zero; everything after re-chains from in-block addresses), so that one
-// block is decoded and re-staged against b's base — re-run-length-encoded
-// and re-grouped — after which every remaining block copies verbatim and
-// b inherits src's final delta base.
-//
-// The source must hold access/range events only (AppendFrom panics on a
-// leading structure event and would silently lose Summary.Ctl offsets for
-// an embedded one); the merge keeps structure events out of chunks by
-// design, synthesizing them from chunk terminators instead. Summaries are
-// not merged — the caller ORs masks and stamps Ctl itself.
-func (b *Batch) AppendFrom(src *Batch) bool {
-	n := src.Len()
-	if n == 0 {
-		return true
-	}
-	if b.compact != src.compact {
-		panic("evstream: AppendFrom across storage forms")
-	}
-	if !b.compact {
-		if len(b.Ev)+len(src.Ev) > cap(b.Ev) {
-			return false
-		}
-		b.Ev = append(b.Ev, src.Ev...)
-		return true
-	}
-	src.seal()
-	// Conservative: the re-staged first block costs at most its worst-case
-	// encoding beyond the bytes it replaces, so this bound guarantees no
-	// growth. Chunks that fail it against an empty accumulator are
-	// forwarded wholesale by the caller instead — no copy at all.
-	if len(b.Buf)+b.pendN+b.pendExtra+len(src.Buf)+2+BlockEvents*MaxEventBytes > cap(b.Buf) {
-		return false
-	}
-	it := src.Iter()
-	var blk [BlockEvents]Event
-	evs := it.DecodeBlock(&blk)
-	for _, ev := range evs {
-		switch op := ev.EvOp(); op {
-		case OpRead, OpWrite:
-			b.AppendAccess(op, ev.Addr(), ev.Size())
-		case OpReadRange, OpWriteRange:
-			b.AppendRange(op, ev.Addr(), ev.Count(), ev.Elem())
-		default:
-			panic("evstream: AppendFrom source starts with a structure event")
-		}
-	}
-	b.seal()
-	b.Buf = append(b.Buf, src.Buf[it.Pos():]...)
-	b.n += n - len(evs)
-	b.prev = src.prev
-	return true
 }
 
 // CtlOp returns the op of the i-th structure event recorded in the batch's

@@ -3,6 +3,8 @@ package evstream
 import (
 	"bytes"
 	"testing"
+
+	"stint/internal/mem"
 )
 
 // codecEvent is one appendable event for the round-trip tests: a structure
@@ -144,8 +146,8 @@ func TestCompactRoundTripBoundaries(t *testing.T) {
 		{op: OpWrite, addr: 0, size: blockArgEsc},
 		{op: OpRead, addr: 0, size: 0},
 		// Largest representable operands.
-		{op: OpWrite, addr: 1, size: MaxAccessSize},
-		{op: OpReadRange, addr: 2, count: MaxRangeCount, size: MaxRangeElem},
+		{op: OpWrite, addr: 1, size: mem.MaxAccessSize},
+		{op: OpReadRange, addr: 2, count: mem.MaxRangeCount, size: mem.MaxRangeElem},
 		{op: OpWriteRange, addr: 3, count: 0, size: 0},
 		// Wild jumps across the whole address space.
 		{op: OpRead, addr: 1<<64 - 1, size: 8},
@@ -179,9 +181,9 @@ func TestCompactAppendRejectsOversizeOperands(t *testing.T) {
 		name   string
 		append func(b *Batch)
 	}{
-		{"access size", func(b *Batch) { b.AppendAccess(OpRead, 0, MaxAccessSize+1) }},
+		{"access size", func(b *Batch) { b.AppendAccess(OpRead, 0, mem.MaxAccessSize+1) }},
 		{"range count", func(b *Batch) { b.AppendRange(OpReadRange, 0, -1, 8) }},
-		{"range elem", func(b *Batch) { b.AppendRange(OpReadRange, 0, 4, MaxRangeElem+1) }},
+		{"range elem", func(b *Batch) { b.AppendRange(OpReadRange, 0, 4, mem.MaxRangeElem+1) }},
 	} {
 		func() {
 			defer func() {
@@ -265,8 +267,8 @@ func TestCompactRingCarriesMoreEventsPerBatch(t *testing.T) {
 
 // decodeCodecProgram turns fuzz bytes into an append program. Every input is
 // valid by construction: operands are read from exactly as many bytes as
-// their wire fields hold, so sizes cap at MaxAccessSize (7 bytes), counts at
-// MaxRangeCount (4 bytes), and element sizes at MaxRangeElem (3 bytes) —
+// their wire fields hold, so sizes cap at mem.MaxAccessSize (7 bytes), counts at
+// mem.MaxRangeCount (4 bytes), and element sizes at mem.MaxRangeElem (3 bytes) —
 // the boundary values are reachable, never exceedable.
 func decodeCodecProgram(data []byte) []codecEvent {
 	var evs []codecEvent
@@ -316,7 +318,7 @@ func FuzzEventCodec(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0x10, 0}) // one small read
 	// Boundary operands: a max-size access, then a max range.
 	f.Add(append(append([]byte{3},
-		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, // size = MaxAccessSize
+		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, // size = mem.MaxAccessSize
 		0, 0, 0, 0, 0, 0, 0, 1), // addr
 		5, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 2))
 	// Address-wrap delta: access at 2^64-1 then at 0.
@@ -346,7 +348,7 @@ func FuzzEventCodec(f *testing.F) {
 		seed = read(seed, 0x2000+uint64(4*i), size)
 	}
 	f.Add(seed)
-	// A MaxRangeCount escape as the last event of a full block: 63 reads
+	// A mem.MaxRangeCount escape as the last event of a full block: 63 reads
 	// then one maximal range.
 	seed = []byte{}
 	for i := 0; i < 63; i++ {

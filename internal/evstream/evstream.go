@@ -29,7 +29,11 @@
 // refcount once the last worker releases it.
 package evstream
 
-import "sync"
+import (
+	"sync"
+
+	"stint/internal/mem"
+)
 
 // Op identifies an event kind. The vocabulary is the runner's Tracer
 // interface: the spawn/restore/sync structure plus the four access hooks.
@@ -68,24 +72,23 @@ type Event struct {
 
 // Access builds a per-access event (OpRead/OpWrite): size is the access
 // size in bytes, carried in the 56 bits above the op byte. Sizes beyond
-// MaxAccessSize panic rather than truncate into the op; the stint hook
+// mem.MaxAccessSize panic rather than truncate into the op; the stint hook
 // layer validates raw-address accesses before encoding.
 func Access(op Op, addr, size uint64) Event {
-	if size > MaxAccessSize {
+	if size > mem.MaxAccessSize {
 		panic("evstream: access size does not fit the 56-bit size field")
 	}
 	return Event{word: uint64(op) | size<<8, addr: addr}
 }
 
-// MaxRangeCount and MaxRangeElem bound what a range event can encode: the
-// count rides in the word's high 32 bits and the element size in the 24
-// bits above the op byte. Values beyond them would silently truncate into
-// the neighboring field, so Range rejects them; callers (the stint hook
-// layer, the trace decoder) validate before encoding.
-const (
-	MaxRangeCount = 1<<32 - 1
-	MaxRangeElem  = 1<<24 - 1
-)
+// The operand limits are mem.MaxAccessSize, mem.MaxRangeCount and
+// mem.MaxRangeElem: a plain access's size rides in the 56 bits above the
+// op byte, a range's count in the word's high 32 bits and its element size
+// in the 24 bits above the op byte. Values beyond them would silently
+// truncate into the neighboring field, so Access and Range reject them, and
+// the compact encoding enforces the same limits so toggling the encoding
+// cannot change which programs are accepted; callers (the stint hook layer,
+// the trace decoder) validate before encoding.
 
 // Range builds a compiler-coalesced range event (OpReadRange/OpWriteRange):
 // elem is the element size in bytes (low 24 bits above the op byte), count

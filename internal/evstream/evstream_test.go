@@ -3,6 +3,8 @@ package evstream
 import (
 	"testing"
 	"time"
+
+	"stint/internal/mem"
 )
 
 func TestRingDeliversInOrder(t *testing.T) {
@@ -216,8 +218,8 @@ func TestNewRingClampsArguments(t *testing.T) {
 
 func TestRangeRejectsOversizeOperands(t *testing.T) {
 	// In-range operands at the field boundaries must round-trip exactly.
-	ev := Range(OpReadRange, 64, MaxRangeCount, MaxRangeElem)
-	if ev.Count() != MaxRangeCount || ev.Elem() != MaxRangeElem {
+	ev := Range(OpReadRange, 64, mem.MaxRangeCount, mem.MaxRangeElem)
+	if ev.Count() != mem.MaxRangeCount || ev.Elem() != mem.MaxRangeElem {
 		t.Fatalf("boundary range decoded as count=%d elem=%d", ev.Count(), ev.Elem())
 	}
 	for _, tc := range []struct {
@@ -226,7 +228,7 @@ func TestRangeRejectsOversizeOperands(t *testing.T) {
 		elem  uint64
 	}{
 		{"negative count", -1, 8},
-		{"oversize elem", 4, MaxRangeElem + 1},
+		{"oversize elem", 4, mem.MaxRangeElem + 1},
 	} {
 		func() {
 			defer func() {

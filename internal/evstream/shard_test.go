@@ -3,6 +3,8 @@ package evstream
 import (
 	"math/rand"
 	"testing"
+
+	"stint/internal/mem"
 )
 
 func collectSplit(ev Event, pageBits uint) (pages []uint64, pieces []Event) {
@@ -161,7 +163,7 @@ func TestPageSplitRejectsWrappingSpan(t *testing.T) {
 		// count*elem itself cannot overflow uint64 through Range's checked
 		// fields (32-bit count x 24-bit elem tops out at 56 bits), so the
 		// reachable failure is the span wrapping past the address space.
-		PageSplit(Range(OpReadRange, ^uint64(0)-1024, MaxRangeCount, 1024), 16, func(uint64, Event) {})
+		PageSplit(Range(OpReadRange, ^uint64(0)-1024, mem.MaxRangeCount, 1024), 16, func(uint64, Event) {})
 	})
 	// The boundary product (max count x max elem) fits in 56 bits and must
 	// split fine from address 0 — the guard must not fire on legal input.

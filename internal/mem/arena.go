@@ -15,6 +15,21 @@ import "fmt"
 // word-aligned and every size is a whole number of words.
 const WordSize = 4
 
+// Operand limits for raw-address accesses. The raw-address hooks
+// (stint.Task.LoadAt and its siblings) panic beyond them, and the trace
+// decoder rejects them as corrupt, so every entry point accepts exactly
+// the same programs. The field widths keep a range's span, count*elem,
+// inside 56 bits — the bound a plain access's size obeys — so span
+// arithmetic never overflows; a separate wrap check keeps any span from
+// running past the top of the address space. The Async pipeline's event
+// encodings (internal/evstream) pack operands into fields of exactly these
+// widths.
+const (
+	MaxAccessSize = 1<<56 - 1 // bytes in one plain access
+	MaxRangeCount = 1<<32 - 1 // elements in one range access
+	MaxRangeElem  = 1<<24 - 1 // bytes in one range element
+)
+
 // Addr is a virtual byte address in an Arena.
 type Addr = uint64
 

@@ -282,14 +282,24 @@ func (s *Server) finish(id string, fill func(*Result)) {
 	close(res.done)
 }
 
-// admit registers a new result record and enqueues the trace. It reports
-// false when the queue is full.
+// admit enqueues the trace and registers its result record. It reports
+// false when the queue is full. The queue slot is reserved first, so a
+// rejected upload neither takes an id nor evicts a retained result. The
+// send never blocks, and a worker that takes the job at once waits on mu
+// before it touches the record.
 func (s *Server) admit(data []byte) (string, bool) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	id := fmt.Sprintf("t-%06d", s.nextID+1)
+	select {
+	case s.queue <- job{id: id, data: data}:
+	default:
+		s.rejected.Add(1)
+		return "", false
+	}
 	s.nextID++
-	id := fmt.Sprintf("t-%06d", s.nextID)
-	res := &Result{ID: id, Status: "queued", done: make(chan struct{})}
-	s.results[id] = res
+	s.admitted.Add(1)
+	s.results[id] = &Result{ID: id, Status: "queued", done: make(chan struct{})}
 	s.order = append(s.order, id)
 	for len(s.order) > s.cfg.MaxResults {
 		evict := s.order[0]
@@ -305,22 +315,7 @@ func (s *Server) admit(data []byte) (string, bool) {
 		}
 		delete(s.results, evict)
 	}
-	s.mu.Unlock()
-
-	select {
-	case s.queue <- job{id: id, data: data}:
-		s.admitted.Add(1)
-		return id, true
-	default:
-		s.rejected.Add(1)
-		s.mu.Lock()
-		delete(s.results, id)
-		if n := len(s.order); n > 0 && s.order[n-1] == id {
-			s.order = s.order[:n-1]
-		}
-		s.mu.Unlock()
-		return "", false
-	}
+	return id, true
 }
 
 // result looks up a result record by id.

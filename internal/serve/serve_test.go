@@ -3,10 +3,12 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -405,5 +407,89 @@ func TestServeShardedPool(t *testing.T) {
 	res := pollResult(t, ts, id)
 	if res.Status != "done" || res.RaceCount != want.RaceCount {
 		t.Fatalf("sharded serve diverges: %+v, want %d races", res, want.RaceCount)
+	}
+}
+
+// TestServeRejectedUploadKeepsResults pins the admission order: a 429
+// rejection must not register a record or evict a live result. With room
+// for one queued job and one retained result, the still-queued first trace
+// must stay readable after the second upload is rejected.
+func TestServeRejectedUploadKeepsResults(t *testing.T) {
+	// No workers: the first job stays queued, so the queue stays full.
+	s := &Server{
+		cfg:     Config{Runners: 1, QueueDepth: 1, MaxResults: 1}.withDefaults(),
+		queue:   make(chan job, 1),
+		quit:    make(chan struct{}),
+		start:   time.Now(),
+		results: make(map[string]*Result),
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	raw := recordTrace(t, 64, 16)
+	first, code := postTrace(t, ts, raw)
+	if code != http.StatusAccepted {
+		t.Fatalf("first upload: status %d", code)
+	}
+	if _, code := postTrace(t, ts, raw); code != http.StatusTooManyRequests {
+		t.Fatalf("second upload: status %d, want 429", code)
+	}
+	resp, err := http.Get(ts.URL + "/v1/results/" + first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res Result
+	err = json.NewDecoder(resp.Body).Decode(&res)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || res.Status != "queued" {
+		t.Fatalf("queued result after a 429: status %d, record %+v", resp.StatusCode, res)
+	}
+	s.mu.Lock()
+	order := append([]string(nil), s.order...)
+	s.mu.Unlock()
+	if !reflect.DeepEqual(order, []string{first}) {
+		t.Fatalf("retained order %v, want [%s]", order, first)
+	}
+}
+
+// TestServeConcurrentAdmitsKeepOrderConsistent races admissions against a
+// full queue: every id the retained order lists must have a record, and
+// the order must hold exactly the newest MaxResults admitted ids.
+func TestServeConcurrentAdmitsKeepOrderConsistent(t *testing.T) {
+	const depth, keep, uploads = 8, 4, 64
+	s := &Server{
+		cfg:     Config{Runners: 1, QueueDepth: depth, MaxResults: keep}.withDefaults(),
+		queue:   make(chan job, depth),
+		quit:    make(chan struct{}),
+		start:   time.Now(),
+		results: make(map[string]*Result),
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < uploads; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.admit(nil)
+		}()
+	}
+	wg.Wait()
+	st := s.Stats()
+	if st.Admitted != depth || st.Rejected != uploads-depth || st.QueueLen != depth {
+		t.Fatalf("stats after %d concurrent uploads: %+v", uploads, st)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.order) != keep || len(s.results) != keep {
+		t.Fatalf("retained %d ids and %d records, want %d", len(s.order), len(s.results), keep)
+	}
+	for i, id := range s.order {
+		if s.results[id] == nil {
+			t.Fatalf("order lists %s with no record", id)
+		}
+		if want := fmt.Sprintf("t-%06d", depth-keep+1+i); id != want {
+			t.Fatalf("order[%d] = %s, want %s", i, id, want)
+		}
 	}
 }

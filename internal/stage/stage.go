@@ -139,12 +139,6 @@ type Meter struct {
 // Add accumulates the time elapsed since t0.
 func (m *Meter) Add(t0 time.Time) { m.busy += time.Since(t0) }
 
-// AddDur accumulates an already-measured duration — for stages whose
-// blocking calls happen mid-lap (the parallel-detect merge publishes from
-// inside its reorder callback), where the caller must subtract the wait
-// itself before crediting the remainder as busy time.
-func (m *Meter) AddDur(d time.Duration) { m.busy += d }
-
 // AddBatch accumulates the time elapsed since t0 and counts the batch as
 // skipped (summary fast path: structure events only) or scanned in full.
 func (m *Meter) AddBatch(t0 time.Time, skipped bool) {

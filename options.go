@@ -40,11 +40,11 @@ var optionsRules = []optionsRule{
 	{
 		bad: func(o *Options) bool { return o.Parallel && o.Detector != DetectorOff },
 		err: func(o *Options) error {
-			return fmt.Errorf("stint: Parallel is the detection-off executor; use ParallelDetect for parallel execution with online race detection")
+			return fmt.Errorf("stint: Parallel is the detection-off executor; race detection runs on the serial projection (Async pipelines it)")
 		},
 	},
 	{
-		bad: func(o *Options) bool { return (o.Parallel || o.ParallelDetect) && o.Tracer != nil },
+		bad: func(o *Options) bool { return o.Parallel && o.Tracer != nil },
 		err: func(o *Options) error {
 			return fmt.Errorf("stint: tracing requires serial execution; parallel executors emit events out of program order")
 		},
@@ -53,26 +53,6 @@ var optionsRules = []optionsRule{
 		bad: func(o *Options) bool { return o.Async && o.Parallel },
 		err: func(o *Options) error {
 			return fmt.Errorf("stint: Async and Parallel are incompatible; Async pipelines the serial projection, Parallel abandons it")
-		},
-	},
-	{
-		bad: func(o *Options) bool { return o.ParallelDetect && o.Parallel },
-		err: func(o *Options) error {
-			return fmt.Errorf("stint: Parallel and ParallelDetect are both executors; choose one (Parallel is detection-off, ParallelDetect detects online)")
-		},
-	},
-	{
-		bad: func(o *Options) bool { return o.ParallelDetect && o.Async },
-		err: func(o *Options) error {
-			return fmt.Errorf("stint: Async and ParallelDetect are incompatible; Async pipelines the serial projection, ParallelDetect merges a parallel execution's streams itself")
-		},
-	},
-	{
-		bad: func(o *Options) bool {
-			return o.ParallelDetect && !coalescingDetector(o.Detector)
-		},
-		err: func(o *Options) error {
-			return fmt.Errorf("stint: ParallelDetect requires a runtime-coalescing detector (comp+rts or a stint variant), got %v; for detection-off parallel execution use Parallel", o.Detector)
 		},
 	},
 	{
@@ -94,9 +74,9 @@ var optionsRules = []optionsRule{
 		},
 	},
 	{
-		bad: func(o *Options) bool { return o.DetectShards > 0 && !o.Async && !o.ParallelDetect },
+		bad: func(o *Options) bool { return o.DetectShards > 0 && !o.Async },
 		err: func(o *Options) error {
-			return fmt.Errorf("stint: DetectShards requires Async or ParallelDetect; sharding splits the pipelined detector")
+			return fmt.Errorf("stint: DetectShards requires Async; sharding splits the pipelined detector")
 		},
 	},
 	{
@@ -135,17 +115,6 @@ var optionsRules = []optionsRule{
 			return fmt.Errorf("stint: MaxHistoryBytes requires a detector with an access history, got %v", o.Detector)
 		},
 	},
-}
-
-// coalescingDetector reports whether d is one of the runtime-coalescing
-// engines — the ones whose hooks only touch per-page state, which is what
-// both sharding and the parallel-detect merge rely on.
-func coalescingDetector(d Detector) bool {
-	switch d {
-	case DetectorCompRTS, DetectorSTINT, DetectorSTINTUnbalanced, DetectorSTINTSkiplist:
-		return true
-	}
-	return false
 }
 
 // validate checks opts against every rule, returning the first violation.

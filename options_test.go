@@ -55,21 +55,6 @@ func TestNewRunnerValidationTable(t *testing.T) {
 		{"shards off ignored", Options{Detector: DetectorOff, Async: true, DetectShards: 2}, ""},
 		{"shards reach-only ignored", Options{Detector: DetectorReachOnly, Async: true, DetectShards: 2}, ""},
 
-		// ParallelDetect: needs a runtime-coalescing detector, excludes
-		// the other executors and the tracer; DetectShards composes.
-		{"parallel-detect stint ok", Options{Detector: DetectorSTINT, ParallelDetect: true}, ""},
-		{"parallel-detect comp+rts ok", Options{Detector: DetectorCompRTS, ParallelDetect: true}, ""},
-		{"parallel-detect sharded ok", Options{Detector: DetectorSTINT, ParallelDetect: true, DetectShards: 4}, ""},
-		{"parallel-detect off", Options{Detector: DetectorOff, ParallelDetect: true}, "runtime-coalescing"},
-		{"parallel-detect vanilla", Options{Detector: DetectorVanilla, ParallelDetect: true}, "runtime-coalescing"},
-		{"parallel-detect reach-only", Options{Detector: DetectorReachOnly, ParallelDetect: true}, "runtime-coalescing"},
-		{"parallel-detect tracer", Options{Detector: DetectorSTINT, ParallelDetect: true, Tracer: nopTracer{}}, "tracing"},
-		// With a detector set, the Parallel rule fires before the
-		// both-executors rule; with DetectorOff the latter wins.
-		{"parallel-detect with parallel", Options{Detector: DetectorSTINT, Parallel: true, ParallelDetect: true}, "Parallel"},
-		{"parallel-detect with parallel off", Options{Detector: DetectorOff, Parallel: true, ParallelDetect: true}, "choose one"},
-		{"parallel-detect with async", Options{Detector: DetectorSTINT, ParallelDetect: true, Async: true}, "Async and ParallelDetect"},
-
 		// Plain configurations stay legal.
 		{"default", Options{}, ""},
 		{"async stint", Options{Detector: DetectorSTINT, Async: true}, ""},

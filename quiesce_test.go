@@ -53,7 +53,7 @@ func quiesceRun(t *testing.T, opts Options, words int, acts []act) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Async || opts.ParallelDetect {
+	if opts.Async {
 		r.asyncBatchEvents, r.asyncRingDepth = 8, 2
 	}
 	buf := r.Arena().AllocWords("q", words)
@@ -67,12 +67,21 @@ func quiesceRun(t *testing.T, opts Options, words int, acts []act) *Report {
 // TestQuiesceDifferentialModes is the tentpole equivalence check: with a
 // small PageQuiesceThreshold on a racy multi-page program, the races, race
 // count, strand count, and pages-quiesced count are identical across
-// {sync, async, shards 1/2/4, parallel-detect} × {compact, fixed}. Full
-// stat identity is deliberately not asserted — the producer-side drops
-// legitimately elide hook calls the synchronous run counts.
+// {sync, async, shards 1/2/4} × {compact, fixed}. Full stat identity is
+// deliberately not asserted — the producer-side drops legitimately elide
+// hook calls the synchronous run counts. The synchronous leg is anchored
+// to the brute-force oracle: with quiescing off it reports exactly the
+// oracle's racing words, and with quiescing on a non-empty subset of them.
 func TestQuiesceDifferentialModes(t *testing.T) {
 	const pages = 5
 	acts := quiesceRacyActs(pages)
+	alloc := func(r *Runner) ([]*Buffer, []int) {
+		return []*Buffer{r.Arena().AllocWords("q", pages*qPageWords)}, []int{pages * qPageWords}
+	}
+	want := oracleWords(t, alloc, acts)
+	if len(want) == 0 {
+		t.Fatal("oracle found no races in the fixture program")
+	}
 	for _, d := range shardTestDetectors {
 		t.Run(fmt.Sprintf("%v", d), func(t *testing.T) {
 			base := Options{Detector: d, MaxRacesRecorded: 1 << 20, PageQuiesceThreshold: 2}
@@ -82,6 +91,20 @@ func TestQuiesceDifferentialModes(t *testing.T) {
 			}
 			if sync.RaceCount == 0 {
 				t.Fatalf("%v: fixture program found no races", d)
+			}
+			off := base
+			off.PageQuiesceThreshold = 0
+			if got := racingWords(t, off, alloc, acts); !reflect.DeepEqual(got, want) {
+				t.Fatalf("quiesce off: %d racing words, oracle %d (%s)", len(got), len(want), wordSetDiff(got, want))
+			}
+			got := racingWords(t, base, alloc, acts)
+			if len(got) == 0 {
+				t.Fatal("quiesced run reported no racing words")
+			}
+			for w := range got {
+				if !want[w] {
+					t.Fatalf("quiesced run reported word %#x, which the oracle finds race-free", w)
+				}
 			}
 			check := func(name string, got *Report) {
 				t.Helper()
@@ -112,11 +135,6 @@ func TestQuiesceDifferentialModes(t *testing.T) {
 					check(fmt.Sprintf("shards=%d/%s", n, enc),
 						quiesceRun(t, sharded, pages*qPageWords, acts))
 				}
-
-				par := opts
-				par.ParallelDetect = true
-				par.DetectShards = 2
-				check("parallel-detect/"+enc, quiesceRun(t, par, pages*qPageWords, acts))
 			}
 		})
 	}
@@ -228,17 +246,16 @@ func TestHistoryCapStructuredError(t *testing.T) {
 		{Detector: DetectorCompRTS, MaxHistoryBytes: 1},
 		{Detector: DetectorSTINT, Async: true, MaxHistoryBytes: 1},
 		{Detector: DetectorSTINT, Async: true, DetectShards: 2, MaxHistoryBytes: 1},
-		{Detector: DetectorSTINT, ParallelDetect: true, DetectShards: 2, MaxHistoryBytes: 1},
 	}
 	for _, opts := range modes {
-		name := fmt.Sprintf("%v-async=%v-par=%v-shards=%d",
-			opts.Detector, opts.Async, opts.ParallelDetect, opts.DetectShards)
+		name := fmt.Sprintf("%v-async=%v-shards=%d",
+			opts.Detector, opts.Async, opts.DetectShards)
 		opts.MaxRacesRecorded = 1 << 20
 		r, err := NewRunner(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if opts.Async || opts.ParallelDetect {
+		if opts.Async {
 			r.asyncBatchEvents, r.asyncRingDepth = 8, 2
 		}
 		buf := r.Arena().AllocWords("q", pages*qPageWords)

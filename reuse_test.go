@@ -13,8 +13,8 @@ import (
 // retained footprint stops growing once it has seen its peak workload.
 
 // reuseModes are the execution-mode configurations the reuse contract
-// covers: synchronous inline, plain pipelined, sharded at one and four
-// workers, and parallel execution with online detection.
+// covers: synchronous inline, plain pipelined, and sharded at one and four
+// workers.
 var reuseModes = []struct {
 	name string
 	opts Options
@@ -23,7 +23,6 @@ var reuseModes = []struct {
 	{"async", Options{Detector: DetectorSTINT, MaxRacesRecorded: 1 << 10, Async: true}},
 	{"shards1", Options{Detector: DetectorSTINT, MaxRacesRecorded: 1 << 10, Async: true, DetectShards: 1}},
 	{"shards4", Options{Detector: DetectorSTINT, MaxRacesRecorded: 1 << 10, Async: true, DetectShards: 4}},
-	{"parallel", Options{Detector: DetectorSTINT, MaxRacesRecorded: 1 << 10, ParallelDetect: true, DetectShards: 2}},
 }
 
 // reuseCompare fails the test unless the two reports agree on every

@@ -417,10 +417,7 @@ func (as *asyncState) launchSharded(labels *depa.Builder, workers []*shardWorker
 }
 
 // buildWorkers constructs the N shard workers with their engines, for the
-// merge finalizer and for retention across runs. Shared by the Async
-// sharded pipeline and the ParallelDetect pipeline — the workers are
-// identical; only the stage feeding the broadcast ring differs (label
-// stage vs merge stage).
+// merge finalizer and for retention across runs.
 func (as *asyncState) buildWorkers(cfg detect.Config, shards, maxRec int, user func(Race), bcast *evstream.BcastRing[labeledBatch]) []*shardWorker {
 	var raceMu sync.Mutex
 	workers := make([]*shardWorker, shards)

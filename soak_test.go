@@ -2,8 +2,6 @@ package stint
 
 import (
 	"math/rand"
-	"reflect"
-	"runtime"
 	"testing"
 )
 
@@ -170,53 +168,6 @@ func TestSoakShardedDeterminismAndSyncAgreement(t *testing.T) {
 					t.Fatalf("seed %d %v shards=%d: fixed-encoding run diverges from sync\nfixed: %+v\nsync:  %+v",
 						seed, d, n, norm(fx.Stats), norm(sync.Stats))
 				}
-			}
-		}
-	}
-}
-
-// TestSoakParallelDetectDeterminism hammers the ParallelDetect pipeline
-// under a per-iteration randomized GOMAXPROCS: the scheduler gets a
-// different amount of real parallelism every time, chunks arrive at the
-// merge in a different order every time, and the report must not move.
-// MaxRacesRecorded is deliberately large so truncation cannot mask a
-// reordered race list. Designed to run under -race in CI (the race job
-// runs the full suite), where the parallel executor's goroutines get the
-// most adversarial interleavings.
-func TestSoakParallelDetectDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("soak")
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	const iters = 50
-	for seed := int64(40); seed < 42; seed++ {
-		acts, sizes := soakProgram(seed)
-		rng := rand.New(rand.NewSource(seed * 101))
-		sync := soakRunOpts(t, acts, sizes, Options{
-			Detector: DetectorSTINT, MaxRacesRecorded: 1 << 16,
-		})
-		var first *Report
-		for it := 0; it < iters; it++ {
-			runtime.GOMAXPROCS(1 + rng.Intn(4))
-			rep := soakRunOpts(t, acts, sizes, Options{
-				Detector: DetectorSTINT, MaxRacesRecorded: 1 << 16,
-				ParallelDetect: true, DetectShards: 2,
-			})
-			if rep.RaceCount != sync.RaceCount || rep.Strands != sync.Strands {
-				t.Fatalf("seed %d iter %d: RaceCount/Strands %d/%d, sync %d/%d",
-					seed, it, rep.RaceCount, rep.Strands, sync.RaceCount, sync.Strands)
-			}
-			if !reflect.DeepEqual(rep.Races, sync.Races) {
-				t.Fatalf("seed %d iter %d: race set diverges from sync\n got: %v\nsync: %v",
-					seed, it, rep.Races, sync.Races)
-			}
-			if first == nil {
-				first = rep
-				continue
-			}
-			if normStats(rep.Stats) != normStats(first.Stats) {
-				t.Fatalf("seed %d iter %d: stats moved across iterations\n got: %+v\nfirst: %+v",
-					seed, it, normStats(rep.Stats), normStats(first.Stats))
 			}
 		}
 	}

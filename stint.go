@@ -123,34 +123,9 @@ type Options struct {
 	// benchmark harness (a few clock reads per strand).
 	TimeAccessHistory bool
 	// Parallel executes spawns on goroutines instead of serially, with no
-	// detection attached: it is only valid with DetectorOff. For parallel
-	// execution with online detection, use ParallelDetect.
+	// detection attached: it is only valid with DetectorOff. Race detection
+	// always runs on the serial projection (inline, or pipelined by Async).
 	Parallel bool
-	// ParallelDetect executes spawns on goroutines — like Parallel — while
-	// detecting races online. Each task goroutine buffers its strand's
-	// access events into chunks and stamps their shard-occupancy masks; a
-	// merge stage reorders the arriving chunks into the serial projection
-	// (a depth-first walk of the spawn structure, so the order depends
-	// only on the program, never on scheduling), advances the reachability
-	// labels, and feeds the same sharded worker graph DetectShards uses.
-	//
-	// The contract is race-set equivalence with the synchronous run — the
-	// same set of (location, access-pair) races — and repeated runs are
-	// byte-identical to each other. The implementation delivers more: the
-	// merged stream *is* the serial event stream, so Report.Races, counts,
-	// and Stats come out identical to sync mode, not just equivalent.
-	//
-	// Requires a runtime-coalescing detector (DetectorCompRTS or a STINT
-	// variant); incompatible with Parallel, Async, and Tracer. DetectShards
-	// sets the worker count (0 means one worker); SummaryStamping is
-	// ignored — the executors stamp masks, the merge stamps structure
-	// offsets. OnRace may be invoked from any worker while the program is
-	// still running, and the program itself must be safe to execute in
-	// parallel (spawned siblings really do run concurrently — a genuinely
-	// racy program gives nondeterministic *data*, even though every race
-	// the serial projection exhibits is still detected on that
-	// projection).
-	ParallelDetect bool
 	// Async pipelines detection: the program executes the serial
 	// projection while a dedicated detector goroutine consumes its event
 	// stream from a bounded ring, overlapping compute with the access
@@ -295,7 +270,6 @@ type Runner struct {
 //   - sync (and ReachOnly): sp + engine + col;
 //   - plain Async: as (ring, working batch) + cons;
 //   - Async + DetectShards: as + labels + workers + bcast;
-//   - ParallelDetect: as (queue, pool) + labels + workers + bcast;
 //   - DetectorOff / Parallel / pure tracing: nothing.
 //
 // The OnRace closures built here capture the retained structures, so they
@@ -335,7 +309,7 @@ func (r *Runner) ensureWarm() {
 	// The history budget divides evenly across the engines that will share
 	// it (one per shard worker); a lone engine gets the whole cap.
 	engines := 1
-	if r.opts.ParallelDetect || (r.opts.Async && r.opts.Detector != DetectorReachOnly) {
+	if r.opts.Async && r.opts.Detector != DetectorReachOnly {
 		if n := r.opts.DetectShards; n > 1 {
 			engines = n
 		}
@@ -357,17 +331,6 @@ func (r *Runner) ensureWarm() {
 		bcap = defaultAsyncBatchEvents
 	}
 	switch {
-	case r.opts.ParallelDetect:
-		shards := r.opts.DetectShards
-		if shards == 0 {
-			shards = 1
-		}
-		// No quiesce registry here: parallel executors emit events at
-		// serial positions that may precede a quiesce point already
-		// reached by a worker, so producer-side drops would be unsound.
-		// The engines' own page-local drops carry the optimization.
-		w.as = newParallelState(depth, bcap, !r.opts.DisableCompactEvents)
-		w.labels, w.workers, w.bcast = w.as.buildParallel(cfg, shards, maxRec, user, !r.opts.DisableBatchSummaries)
 	case r.opts.Async:
 		w.as = newAsyncState(depth, bcap, !r.opts.DisableCompactEvents)
 		if r.opts.PageQuiesceThreshold > 0 && r.opts.Detector != DetectorReachOnly {
@@ -491,16 +454,6 @@ type Report struct {
 	// Batches with no spawns reuse the previous snapshot, so this is
 	// typically far below the batch count on access-dense programs.
 	LabelViewSnapshots uint64
-	// ExecutorBusy is the summed busy time of the parallel executor's task
-	// goroutines under ParallelDetect (zero otherwise): program execution
-	// plus chunk encoding, excluding queue handoffs and joins. Divided by
-	// the worker count it approximates the executor's critical path; in
-	// this mode SequencerBusy reports the merge stage's busy time.
-	ExecutorBusy time.Duration
-	// ReorderPeak is the most chunks the ParallelDetect merge ever held
-	// waiting for the next chunk in serial order (zero otherwise) — the
-	// memory price of scheduling skew between executor goroutines.
-	ReorderPeak int
 	// ShardLoad breaks each worker's load down further (sharded mode only,
 	// nil otherwise): busy time (ShardBusy[i] == ShardLoad[i].Busy), the
 	// scanned-vs-skipped batch split from the summary fast path, and the
@@ -545,15 +498,10 @@ type TaskFunc func(t *Task)
 
 // runState is the per-Run shared state.
 type runState struct {
-	sp     *spord.SP
-	engine detect.Engine
-	hooks  bool // false when memory hooks should not reach the engine
-	async  *asyncState
-	// parPipe is the ParallelDetect pipeline (parallel.go). It is kept
-	// distinct from async on purpose: the hook dispatch routes through the
-	// task-local parTask (t.par), never through a shared working batch, so
-	// a non-nil async must continue to mean "serial producer".
-	parPipe  *asyncState
+	sp       *spord.SP
+	engine   detect.Engine
+	hooks    bool // false when memory hooks should not reach the engine
+	async    *asyncState
 	tracer   Tracer
 	parallel bool
 	// taskFree recycles Task frames for the serial spawn path. Tasks are
@@ -587,7 +535,6 @@ type Task struct {
 	// the last strand-creating sync.
 	tracePending bool
 	wg           *sync.WaitGroup // parallel executors only
-	par          *parTask        // ParallelDetect only: this task's chunk emitter
 }
 
 // footprint sums the retained warm capacity of every engine the Runner
@@ -631,17 +578,6 @@ func (r *Runner) Run(root TaskFunc) (*Report, error) {
 		rs.hooks = r.opts.Detector != DetectorReachOnly
 		maxRec := r.opts.MaxRacesRecorded
 		switch {
-		case r.opts.ParallelDetect:
-			// Parallel execution with online detection: task goroutines emit
-			// chunks onto a multi-producer queue, the merge stage
-			// reconstructs the serial projection and labels it, and the
-			// sharded worker graph consumes the result (parallel.go).
-			rs.parallel = true
-			rs.parPipe = w.as
-			if w.as.graph == nil {
-				w.as.graph = stage.NewGraph()
-			}
-			w.as.launchParallel(w.labels, w.workers, w.bcast, maxRec)
 		case r.opts.Async:
 			// Pipelined detection: SP-Order (or the depa labels, when
 			// sharded) and the engine(s) live behind the event stream as a
@@ -670,9 +606,6 @@ func (r *Runner) Run(root TaskFunc) (*Report, error) {
 	t := &Task{rs: rs}
 	if rs.parallel {
 		t.wg = &sync.WaitGroup{}
-		if rs.parPipe != nil {
-			t.par = newParTask(rs.parPipe, 0) // the root owns task identity 0
-		}
 	}
 	// runtime/metrics instead of runtime.ReadMemStats: reading these two
 	// counters does not stop the world, so the probe stays invisible even on
@@ -684,12 +617,7 @@ func (r *Runner) Run(root TaskFunc) (*Report, error) {
 	start := time.Now()
 	root(t)
 	t.Sync()
-	if rs.parPipe != nil {
-		// The root's final chunk completes the serial projection; the
-		// drain waits out the merge and worker graph.
-		t.par.cut(evstream.ChunkRoot, 0)
-		rs.parPipe.drainParallel()
-	} else if rs.async != nil {
+	if rs.async != nil {
 		// Flush the stream and join the detector goroutine: WallTime then
 		// covers max(compute, detect) plus the residual drain, and Stats
 		// are exact.
@@ -699,12 +627,7 @@ func (r *Runner) Run(root TaskFunc) (*Report, error) {
 	}
 	rep.WallTime = time.Since(start)
 	metrics.Read(after[:])
-	if pipe := rs.async; pipe != nil || rs.parPipe != nil {
-		if pipe == nil {
-			pipe = rs.parPipe
-			rep.ExecutorBusy = time.Duration(pipe.execBusy.Load())
-			rep.ReorderPeak = pipe.reorderPeak
-		}
+	if pipe := rs.async; pipe != nil {
 		rep.Strands = pipe.strands
 		rep.Stats = pipe.stats
 		rep.RaceCount = rep.Stats.Races
@@ -777,26 +700,6 @@ func (r *Runner) capError() error {
 func (t *Task) Spawn(f TaskFunc) {
 	rs := t.rs
 	if rs.parallel {
-		if p := t.par; p != nil {
-			// ParallelDetect: end the caller's strand here — its chunk's
-			// terminator is the spawn, naming the child task so the merge
-			// walks the child's subtree before the caller's continuation.
-			// The child goroutine emits its own chunks under a fresh task
-			// identity and seals them with a task-end terminator after its
-			// implicit final sync.
-			t.tracePending = true
-			childID := p.as.nextTask.Add(1)
-			p.cut(evstream.ChunkSpawn, childID)
-			t.wg.Add(1)
-			go func() {
-				defer t.wg.Done()
-				child := &Task{rs: rs, wg: &sync.WaitGroup{}, par: newParTask(p.as, childID)}
-				f(child)
-				child.Sync()
-				child.par.cut(evstream.ChunkTask, 0)
-			}()
-			return
-		}
 		t.wg.Add(1)
 		go func() {
 			defer t.wg.Done()
@@ -852,19 +755,6 @@ func (t *Task) Spawn(f TaskFunc) {
 func (t *Task) Sync() {
 	rs := t.rs
 	if rs.parallel {
-		if p := t.par; p != nil && t.tracePending {
-			// Strand-creating sync (no-op syncs are elided, exactly as on
-			// the serial paths): the current chunk ends at the sync.
-			p.cut(evstream.ChunkSync, 0)
-			t.tracePending = false
-		}
-		if p := t.par; p != nil {
-			// The join is idle time, not execution.
-			p.pause()
-			t.wg.Wait()
-			p.resume()
-			return
-		}
 		t.wg.Wait()
 		return
 	}
@@ -901,10 +791,8 @@ func (t *Task) Load(b *Buffer, i int) {
 	if rs.hooks {
 		if as := rs.async; as != nil {
 			as.emitAccess(evstream.OpRead, addr, size)
-		} else if e := rs.engine; e != nil {
-			e.ReadHook(addr, size)
 		} else {
-			t.par.emitAccess(evstream.OpRead, addr, size)
+			rs.engine.ReadHook(addr, size)
 		}
 	}
 	if rs.tracer != nil {
@@ -922,10 +810,8 @@ func (t *Task) Store(b *Buffer, i int) {
 	if rs.hooks {
 		if as := rs.async; as != nil {
 			as.emitAccess(evstream.OpWrite, addr, size)
-		} else if e := rs.engine; e != nil {
-			e.WriteHook(addr, size)
 		} else {
-			t.par.emitAccess(evstream.OpWrite, addr, size)
+			rs.engine.WriteHook(addr, size)
 		}
 	}
 	if rs.tracer != nil {
@@ -945,10 +831,8 @@ func (t *Task) LoadRange(b *Buffer, i, n int) {
 	if rs.hooks {
 		if as := rs.async; as != nil {
 			as.emitRange(evstream.OpReadRange, addr, n, uint64(b.ElemBytes()))
-		} else if e := rs.engine; e != nil {
-			e.ReadRangeHook(addr, n, uint64(b.ElemBytes()))
 		} else {
-			t.par.emitRange(evstream.OpReadRange, addr, n, uint64(b.ElemBytes()))
+			rs.engine.ReadRangeHook(addr, n, uint64(b.ElemBytes()))
 		}
 	}
 	if rs.tracer != nil {
@@ -966,10 +850,8 @@ func (t *Task) StoreRange(b *Buffer, i, n int) {
 	if rs.hooks {
 		if as := rs.async; as != nil {
 			as.emitRange(evstream.OpWriteRange, addr, n, uint64(b.ElemBytes()))
-		} else if e := rs.engine; e != nil {
-			e.WriteRangeHook(addr, n, uint64(b.ElemBytes()))
 		} else {
-			t.par.emitRange(evstream.OpWriteRange, addr, n, uint64(b.ElemBytes()))
+			rs.engine.WriteRangeHook(addr, n, uint64(b.ElemBytes()))
 		}
 	}
 	if rs.tracer != nil {
@@ -977,13 +859,13 @@ func (t *Task) StoreRange(b *Buffer, i, n int) {
 	}
 }
 
-// checkAccess rejects per-access sizes beyond the event encodings' shared
-// 56-bit field, so sync and async runs accept exactly the same programs (the
-// encodings would otherwise panic only on the async path). Like checkRange,
-// it guards only the raw-address hooks — arena-backed accesses are bounded
-// by their Buffer.
+// checkAccess rejects per-access sizes of 2^56 bytes or more, the bound
+// every span the detector handles stays inside (see mem.MaxAccessSize), so
+// sync and async runs accept exactly the same programs. Like checkRange, it
+// guards only the raw-address hooks — arena-backed accesses are bounded by
+// their Buffer.
 func checkAccess(size uint64) {
-	if size > evstream.MaxAccessSize {
+	if size > mem.MaxAccessSize {
 		panic(fmt.Sprintf("stint: access size %d outside [0, 2^56)", size))
 	}
 }
@@ -996,10 +878,8 @@ func (t *Task) LoadAt(addr Addr, size uint64) {
 	if rs.hooks {
 		if as := rs.async; as != nil {
 			as.emitAccess(evstream.OpRead, addr, size)
-		} else if e := rs.engine; e != nil {
-			e.ReadHook(addr, size)
 		} else {
-			t.par.emitAccess(evstream.OpRead, addr, size)
+			rs.engine.ReadHook(addr, size)
 		}
 	}
 	if rs.tracer != nil {
@@ -1015,10 +895,8 @@ func (t *Task) StoreAt(addr Addr, size uint64) {
 	if rs.hooks {
 		if as := rs.async; as != nil {
 			as.emitAccess(evstream.OpWrite, addr, size)
-		} else if e := rs.engine; e != nil {
-			e.WriteHook(addr, size)
 		} else {
-			t.par.emitAccess(evstream.OpWrite, addr, size)
+			rs.engine.WriteHook(addr, size)
 		}
 	}
 	if rs.tracer != nil {
@@ -1026,18 +904,17 @@ func (t *Task) StoreAt(addr Addr, size uint64) {
 	}
 }
 
-// checkRange rejects range-hook operands the pipeline cannot represent: a
-// count or element size outside the event encoding's fields (which would
-// silently truncate into a different, smaller range) or a span wrapping the
-// address space (which would mis-split across bogus low pages). The
-// arena-backed LoadRange/StoreRange can never trip it — Buffer.Range bounds
-// the span — so the guard lives only on the raw-address hooks, where the
-// caller manages its own layout.
+// checkRange rejects range-hook operands outside the mem.MaxRangeCount and
+// mem.MaxRangeElem field widths, which keep the span count*elemBytes inside
+// 56 bits, and spans that wrap the address space (which would mis-split
+// across bogus low pages). The arena-backed LoadRange/StoreRange can never
+// trip it — Buffer.Range bounds the span — so the guard lives only on the
+// raw-address hooks, where the caller manages its own layout.
 func checkRange(addr Addr, count int, elemBytes uint64) {
-	if count < 0 || uint64(count) > evstream.MaxRangeCount {
+	if count < 0 || uint64(count) > mem.MaxRangeCount {
 		panic(fmt.Sprintf("stint: range count %d outside [0, 2^32)", count))
 	}
-	if elemBytes > evstream.MaxRangeElem {
+	if elemBytes > mem.MaxRangeElem {
 		panic(fmt.Sprintf("stint: range element size %d outside [0, 2^24)", elemBytes))
 	}
 	if size := uint64(count) * elemBytes; size > 0 && addr+size-1 < addr {
@@ -1060,10 +937,8 @@ func (t *Task) LoadRangeAt(addr Addr, count int, elemBytes uint64) {
 	if rs.hooks {
 		if as := rs.async; as != nil {
 			as.emitRange(evstream.OpReadRange, addr, count, elemBytes)
-		} else if e := rs.engine; e != nil {
-			e.ReadRangeHook(addr, count, elemBytes)
 		} else {
-			t.par.emitRange(evstream.OpReadRange, addr, count, elemBytes)
+			rs.engine.ReadRangeHook(addr, count, elemBytes)
 		}
 	}
 	if rs.tracer != nil {
@@ -1082,10 +957,8 @@ func (t *Task) StoreRangeAt(addr Addr, count int, elemBytes uint64) {
 	if rs.hooks {
 		if as := rs.async; as != nil {
 			as.emitRange(evstream.OpWriteRange, addr, count, elemBytes)
-		} else if e := rs.engine; e != nil {
-			e.WriteRangeHook(addr, count, elemBytes)
 		} else {
-			t.par.emitRange(evstream.OpWriteRange, addr, count, elemBytes)
+			rs.engine.WriteRangeHook(addr, count, elemBytes)
 		}
 	}
 	if rs.tracer != nil {

@@ -3,6 +3,8 @@ package stint
 import (
 	"sync/atomic"
 	"testing"
+
+	"stint/internal/mem"
 )
 
 // allDetectors are the engines that must agree on racing words.
@@ -302,6 +304,56 @@ func TestDetectorOffRunsProgram(t *testing.T) {
 func TestParallelRequiresDetectorOff(t *testing.T) {
 	if _, err := NewRunner(Options{Detector: DetectorSTINT, Parallel: true}); err == nil {
 		t.Fatal("expected error for Parallel + detection")
+	}
+}
+
+// TestRawAddressOperandGuards pins the raw-address hooks' operand limits:
+// each over-limit size, count, or element size, and each span wrapping the
+// address space, panics, under a detector and with detection off alike.
+// The in-limit neighbours of each case pass.
+func TestRawAddressOperandGuards(t *testing.T) {
+	const top = ^Addr(0)
+	cases := []struct {
+		name  string
+		hook  func(t *Task)
+		panic bool
+	}{
+		{"LoadAt max size", func(t *Task) { t.LoadAt(0, mem.MaxAccessSize) }, false},
+		{"LoadAt size 2^56", func(t *Task) { t.LoadAt(0, mem.MaxAccessSize+1) }, true},
+		{"StoreAt max size", func(t *Task) { t.StoreAt(0, mem.MaxAccessSize) }, false},
+		{"StoreAt size 2^56", func(t *Task) { t.StoreAt(0, mem.MaxAccessSize+1) }, true},
+		{"LoadRangeAt negative count", func(t *Task) { t.LoadRangeAt(0, -1, 4) }, true},
+		{"LoadRangeAt count 2^32", func(t *Task) { t.LoadRangeAt(0, mem.MaxRangeCount+1, 4) }, true},
+		{"LoadRangeAt elem 2^24", func(t *Task) { t.LoadRangeAt(0, 1, mem.MaxRangeElem+1) }, true},
+		{"LoadRangeAt max operands", func(t *Task) { t.LoadRangeAt(0, mem.MaxRangeCount, mem.MaxRangeElem) }, false},
+		{"LoadRangeAt wraps", func(t *Task) { t.LoadRangeAt(top-7, 3, 4) }, true},
+		{"LoadRangeAt ends at top", func(t *Task) { t.LoadRangeAt(top-7, 2, 4) }, false},
+		{"StoreRangeAt negative count", func(t *Task) { t.StoreRangeAt(0, -1, 4) }, true},
+		{"StoreRangeAt count 2^32", func(t *Task) { t.StoreRangeAt(0, mem.MaxRangeCount+1, 4) }, true},
+		{"StoreRangeAt elem 2^24", func(t *Task) { t.StoreRangeAt(0, 1, mem.MaxRangeElem+1) }, true},
+		{"StoreRangeAt wraps", func(t *Task) { t.StoreRangeAt(top-7, 3, 4) }, true},
+	}
+	for _, d := range []Detector{DetectorOff, DetectorSTINT} {
+		for _, c := range cases {
+			if !c.panic && d != DetectorOff {
+				// An in-limit span of up to 2^56 bytes is valid but would
+				// make a detector shadow it; the guard itself is what is
+				// under test, and it runs before dispatch.
+				continue
+			}
+			r, err := NewRunner(Options{Detector: d})
+			if err != nil {
+				t.Fatal(err)
+			}
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				r.Run(c.hook)
+				return false
+			}()
+			if panicked != c.panic {
+				t.Errorf("%v %s: panicked=%v, want %v", d, c.name, panicked, c.panic)
+			}
+		}
 	}
 }
 

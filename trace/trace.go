@@ -33,7 +33,6 @@ import (
 	"io"
 
 	"stint"
-	"stint/internal/evstream"
 	"stint/internal/mem"
 )
 
@@ -297,10 +296,10 @@ func (d *decoder) replayBody(t *stint.Task, depth int) {
 				size, err = binary.ReadUvarint(d.br)
 				if err == nil {
 					// Validate before handing to the hook layer: LoadAt
-					// panics on sizes beyond the encodings' 56-bit field,
+					// panics on sizes of 2^56 bytes or more,
 					// but a corrupt or adversarial trace must surface as a
 					// decode error, not a panic.
-					if size > evstream.MaxAccessSize {
+					if size > mem.MaxAccessSize {
 						d.fail(fmt.Errorf("trace: access event size %d outside the representable field", size))
 						return
 					}
@@ -335,7 +334,7 @@ func (d *decoder) replayBody(t *stint.Task, depth int) {
 			// Validate before handing to the hook layer: LoadRangeAt panics
 			// on unrepresentable ranges, but a corrupt or adversarial trace
 			// must surface as a decode error, not a panic.
-			if count > evstream.MaxRangeCount || elem > evstream.MaxRangeElem {
+			if count > mem.MaxRangeCount || elem > mem.MaxRangeElem {
 				d.fail(fmt.Errorf("trace: range event count %d elem %d outside the representable fields", count, elem))
 				return
 			}

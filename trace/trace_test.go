@@ -2,12 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"stint"
+	"stint/internal/mem"
 )
 
 // program is a replayable random fork-join program (same scheme as the
@@ -263,6 +265,54 @@ func TestReplayErrors(t *testing.T) {
 		if _, err := Replay(bytes.NewReader(c.data), c.opts); err == nil {
 			t.Errorf("%s: replay accepted invalid input", c.name)
 		}
+	}
+}
+
+// TestReplayRejectsOverLimitOperands feeds traces whose access operands
+// the raw-address hooks would panic on: each must fail Replay with a
+// decode error, not a panic. The in-limit range ending at the top of the
+// address space replays.
+func TestReplayRejectsOverLimitOperands(t *testing.T) {
+	// top8 is the zig-zag address operand for ^0-7, the last 8 bytes of the
+	// address space, as the first event of a trace (delta from 0 is -8).
+	const top8 = 15
+	event := func(op byte, operands ...uint64) []byte {
+		raw := append(append([]byte{}, magic[:]...), op)
+		for _, v := range operands {
+			raw = binary.AppendUvarint(raw, v)
+		}
+		return append(raw, opEnd)
+	}
+	cases := []struct {
+		name string
+		raw  []byte
+		ok   bool
+	}{
+		{"read size 2^56", event(opRead, 0, mem.MaxAccessSize+1), false},
+		{"write size 2^56", event(opWrite, 0, mem.MaxAccessSize+1), false},
+		{"read range count 2^32", event(opReadRange, 0, mem.MaxRangeCount+1, 4), false},
+		{"write range count 2^32", event(opWriteRange, 0, mem.MaxRangeCount+1, 4), false},
+		{"read range elem 2^24", event(opReadRange, 0, 1, mem.MaxRangeElem+1), false},
+		{"write range elem 2^24", event(opWriteRange, 0, 1, mem.MaxRangeElem+1), false},
+		{"read range wraps", event(opReadRange, top8, 3, 4), false},
+		{"write range wraps", event(opWriteRange, top8, 3, 4), false},
+		{"write range ends at top", event(opWriteRange, top8, 2, 4), true},
+	}
+	for _, c := range cases {
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s: Replay panicked: %v", c.name, p)
+				}
+			}()
+			_, err := Replay(bytes.NewReader(c.raw), Options{Detector: stint.DetectorSTINT})
+			if c.ok && err != nil {
+				t.Errorf("%s: in-limit operand rejected: %v", c.name, err)
+			}
+			if !c.ok && err == nil {
+				t.Errorf("%s: over-limit operand replayed without error", c.name)
+			}
+		}()
 	}
 }
 

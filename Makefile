@@ -20,17 +20,13 @@ bench:
 
 # Hot-path microbenchmarks only: the open-addressed page directory vs the
 # seed's Go map, slab-pooled vs heap-allocated treap nodes, the async event
-# ring and its broadcast sibling, the compact-vs-fixed event codec, the
-# workers' local page-split/filter scan, the producer-side summary stamp and
-# the worker skip-scan it buys, the per-refill label snapshot, the
-# sync-vs-async per-access hook cost, the sharded main-table measurement,
-# and the racy-workload quiescing pair.
+# ring, the compact-vs-fixed event codec, the sync-vs-async per-access hook
+# cost, and the racy-workload quiescing pair.
 bench-hot:
 	$(GO) test -run '^$$' -bench 'BenchmarkTreapInsert|BenchmarkShadowDirectory' -benchmem ./internal/core ./internal/shadow
-	$(GO) test -run '^$$' -bench 'BenchmarkRing|BenchmarkBcastRing|BenchmarkEventEncode|BenchmarkEventDecode|BenchmarkWorkerSplit|BenchmarkWorkerScan|BenchmarkSummaryStamp|BenchmarkWorkerSkipScan' -benchmem ./internal/evstream
-	$(GO) test -run '^$$' -bench 'BenchmarkViewPerRefill' -benchmem ./internal/depa
+	$(GO) test -run '^$$' -bench 'BenchmarkRing|BenchmarkEventEncode|BenchmarkEventDecode' -benchmem ./internal/evstream
 	$(GO) test -run '^$$' -bench 'BenchmarkHookOverhead|BenchmarkRunnerReset' -benchmem .
-	$(GO) test -run '^$$' -bench 'BenchmarkFig5Sharded|BenchmarkFig5RacyQuiesce' -benchtime 10x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkFig5RacyQuiesce' -benchtime 10x -benchmem .
 
 # Decode-kernel sweep: every op mix (sequential same-size, range-heavy,
 # random-address, ctl-dense) across the three decode paths (fixed slice
@@ -41,16 +37,15 @@ bench-hot:
 # prefix-matches BenchmarkEventDecodeBlock too).
 bench-decode:
 	$(GO) test -run '^$$' -bench 'BenchmarkEventEncode|BenchmarkEventDecode' -benchtime 2s ./internal/evstream
-	GOMAXPROCS=4 $(GO) test -run '^$$' -bench 'BenchmarkFig5ShardedEncoding' -benchtime 10x .
 
 bench-decode-json:
-	GOMAXPROCS=4 BENCHTIME=2s BENCHCOUNT=3 ./scripts/benchdiff.sh emit 'BenchmarkEventEncode|BenchmarkEventDecode|BenchmarkViewPerRefill|BenchmarkFig5ShardedEncoding' ./internal/evstream ./internal/depa . > BENCH_$$(date +%Y%m%d)_blockdecode.json
+	GOMAXPROCS=4 BENCHTIME=2s BENCHCOUNT=3 ./scripts/benchdiff.sh emit 'BenchmarkEventEncode|BenchmarkEventDecode' ./internal/evstream > BENCH_$$(date +%Y%m%d)_blockdecode.json
 	@echo wrote BENCH_$$(date +%Y%m%d)_blockdecode.json
 
 # Machine-readable benchmark snapshot: one JSON line per benchmark, written
 # to BENCH_<date>.json. Compare two snapshots with scripts/benchdiff.sh diff.
 bench-json:
-	./scripts/benchdiff.sh emit 'BenchmarkFig5|BenchmarkRunnerReset|BenchmarkEventEncode|BenchmarkEventDecode|BenchmarkViewPerRefill' . ./internal/evstream ./internal/depa > BENCH_$$(date +%Y%m%d).json
+	./scripts/benchdiff.sh emit 'BenchmarkFig5|BenchmarkRunnerReset|BenchmarkEventEncode|BenchmarkEventDecode' . ./internal/evstream > BENCH_$$(date +%Y%m%d).json
 	@echo wrote BENCH_$$(date +%Y%m%d).json
 
 # Trace-ingest service snapshot: warm-pool vs fresh-runner-per-trace
@@ -60,14 +55,14 @@ bench-serve-json:
 	BENCHTIME=200x ./scripts/benchdiff.sh emit 'BenchmarkServeThroughput' ./internal/serve > BENCH_$$(date +%Y%m%d)_serve.json
 	@echo wrote BENCH_$$(date +%Y%m%d)_serve.json
 
-# Re-run every Fig5 benchmark (sync, async, and sharded modes share one
-# snapshot schema) plus the event-codec and label-snapshot microbenchmarks,
+# Re-run every Fig5 benchmark (sync and async modes share one snapshot
+# schema) plus the event-codec microbenchmarks,
 # and fail if any mode regressed ns/op by more than 10% against the
 # checked-in snapshots. Two legs because two methodologies: the quick
 # 3x-iteration leg only covers the Fig5 macro walls (milliseconds, where 3
 # iterations measure something) against every snapshot except the
-# blockdecode ones; the nanosecond-scale microbenchmarks (codec, label
-# snapshot, the sharded encoding duel) re-run at BENCHTIME=2s best-of-3 —
+# blockdecode ones; the nanosecond-scale codec microbenchmarks re-run at
+# BENCHTIME=2s best-of-3 —
 # the methodology the blockdecode snapshots were emitted with — against
 # exactly those snapshots. Mixing the methodologies reads as phantom
 # thousand-percent regressions: 3 iterations of a 7 ns op is timer noise.
@@ -79,7 +74,7 @@ bench-serve-json:
 bench-diff-all:
 	./scripts/benchdiff.sh emit 'BenchmarkFig5' . > /tmp/stint_bench_head.json
 	./scripts/benchdiff.sh check /tmp/stint_bench_head.json $$(ls BENCH_*.json | grep -v _blockdecode | grep -v _serve)
-	GOMAXPROCS=4 BENCHTIME=2s BENCHCOUNT=3 ./scripts/benchdiff.sh emit 'BenchmarkEventEncode|BenchmarkEventDecode|BenchmarkViewPerRefill|BenchmarkFig5ShardedEncoding' ./internal/evstream ./internal/depa . > /tmp/stint_bench_decode.json
+	GOMAXPROCS=4 BENCHTIME=2s BENCHCOUNT=3 ./scripts/benchdiff.sh emit 'BenchmarkEventEncode|BenchmarkEventDecode' ./internal/evstream > /tmp/stint_bench_decode.json
 	BENCHDIFF_MAX_REGRESSION=$${BENCHDIFF_MAX_REGRESSION:-25} ./scripts/benchdiff.sh check /tmp/stint_bench_decode.json BENCH_*_blockdecode.json
 	BENCHTIME=200x ./scripts/benchdiff.sh emit 'BenchmarkServeThroughput' ./internal/serve > /tmp/stint_bench_serve.json
 	BENCHDIFF_MAX_REGRESSION=$${BENCHDIFF_MAX_REGRESSION:-25} ./scripts/benchdiff.sh check /tmp/stint_bench_serve.json BENCH_*_serve.json

@@ -1,31 +1,21 @@
 // Asynchronous pipelined detection (Options.Async): the mutator executes
 // the serial projection and publishes its instrumentation events into
-// batches over a bounded SPSC ring (internal/evstream), while the detector
-// side — one replay stage, or the label-stage-plus-workers graph of
-// shards.go — consumes the batches in order.
+// batches over a bounded SPSC ring (internal/evstream), while one replay
+// stage on the detector side consumes the batches in order.
 //
 // Sequential semantics are preserved because the stream *is* the serial
 // order: the producer emits spawn/restore/sync and access events in the
-// depth-first execution order, and each consumer stage replays them one at
-// a time against its own reachability structure — the same reconstruction
-// stint/trace uses for offline replay, minus the byte encoding. The only
-// concurrency is the ring handoffs between stages; every stage remains a
-// sequential algorithm, and the pipeline reports byte-identical races and
-// stats.
+// depth-first execution order, and the consumer replays them one at a time
+// against its own SP-Order structure — the same reconstruction stint/trace
+// uses for offline replay, minus the byte encoding. The only concurrency is
+// the ring handoff; the consumer remains a sequential algorithm, and the
+// pipeline reports byte-identical races and stats.
 //
-// In sharded mode each batch's Summary — the structure-event offsets plus,
-// unless summaries are disabled, the shard-occupancy mask of every access
-// event — is stamped by one of two stages (Options.SummaryStamping): the
-// producer, as it appends (a mask OR per access on the mutator's hot
-// path), or the label stage, which then decodes each batch once and stamps
-// while it advances the label builder (shards.go). Either way the stamp
-// lets workers skip whole batches they own no pages of.
-//
-// All detector-side goroutines hang off one stage.Graph: Run wires the
-// stages, drain closes the stream and waits for the graph's merge, and the
+// The consumer goroutine hangs off one stage.Graph: Run wires the stage,
+// drain closes the stream and waits for the graph, and the
 // results fields below are written before the graph reports done. A stage
 // failure (a user OnRace panic, a guard tripping) fires the graph's abort
-// hook, which closes the rings: blocked stages unwind, the producer's
+// hook, which closes the ring: a blocked consumer unwinds, the producer's
 // publishes start reporting false (flush then drops events on the floor —
 // the run is already doomed), and graph.Wait re-raises the failure on the
 // producer so it propagates out of Run exactly as in synchronous mode.
@@ -43,8 +33,8 @@ import (
 )
 
 // Default pipeline geometry: batches amortize the per-batch ring
-// synchronization over ~4k events, and the rings bound the pipeline at 8
-// in-flight batches per hop before backpressure blocks the upstream stage.
+// synchronization over ~4k events, and the ring bounds the pipeline at 8
+// in-flight batches before backpressure blocks the producer.
 const (
 	defaultAsyncBatchEvents = 4096
 	defaultAsyncRingDepth   = 8
@@ -52,39 +42,18 @@ const (
 
 // asyncState is the per-Run pipeline: the producer's working batch and
 // ring on the mutator side, the stage graph on the detector side, and the
-// consumer results, written by the graph's stages before Seal's merge
-// completes and read only after drain returns.
+// consumer results, written by the consumer before the graph completes and
+// read only after drain returns.
 type asyncState struct {
-	ring      *evstream.Ring
-	batch     *evstream.Batch
-	batchCap  int // immutable copy of the batch capacity for the consumer side
-	ringDepth int // immutable copy of the ring depth, sizing downstream rings
-	graph     *stage.Graph
-	// Summary stamping (sharded mode): shards is the worker count PickShard
-	// targets, summarize whether access masks are computed (false for plain
-	// async and when Options.DisableBatchSummaries is set — unsummarized
-	// batches carry MaskAll so no worker skips them), and prodStamp whether
-	// the producer stamps Ctl offsets and masks as it appends. With
-	// prodStamp false in sharded mode the label stage stamps instead,
-	// scanning each batch once; plain async stamps nothing at all (no stage
-	// reads the Summary).
-	shards    int
-	summarize bool
-	prodStamp bool
-	// viewSnaps counts the label stage's depa.View snapshots (sharded mode;
-	// written by the label stage, read after graph.Wait).
-	viewSnaps uint64
-	// Written by the detector-side stages, read after graph.Wait().
+	ring  *evstream.Ring
+	batch *evstream.Batch
+	graph *stage.Graph
+	// Written by the consumer stage, read after graph.Wait().
 	strands int
 	stats   Stats
 	races   []Race
-	// Pipeline utilization split: seqBusy is the label stage's busy time
-	// and shardLoad the per-worker load breakdown (sharded mode only).
-	seqBusy   stage.Meter
-	shardLoad []ShardLoad
-	// quiesce, when non-nil (PageQuiesceThreshold in a serial-projection
-	// pipeline), is the quiesced-page registry the detector engines publish
-	// into. The producer consults it to drop single-page accesses to dead
+	// quiesce, when non-nil (PageQuiesceThreshold set), is the
+	// quiesced-page registry the detector engine publishes into. The producer consults it to drop single-page accesses to dead
 	// pages before they ever hit the ring; qlive caches whether the
 	// registry has any entries, refreshed once per batch in flush() so the
 	// per-access fast path stays two loads. The drop is sound because the
@@ -103,16 +72,14 @@ func newAsyncState(ringDepth, batchEvents int, compact bool) *asyncState {
 		ring = evstream.NewRing(ringDepth, batchEvents)
 	}
 	return &asyncState{
-		ring:      ring,
-		batch:     ring.Get(),
-		batchCap:  batchEvents,
-		ringDepth: ringDepth,
-		graph:     stage.NewGraph(),
+		ring:  ring,
+		batch: ring.Get(),
+		graph: stage.NewGraph(),
 	}
 }
 
-// reset re-arms the pipeline state for another run: the rings retain
-// their warm capacity, every per-run result field zeroes, and the
+// reset re-arms the pipeline state for another run: the ring retains
+// its warm capacity, every per-run result field zeroes, and the
 // producer's working batch — nilled by drain — is re-armed from the ring's
 // free list. The stage graph is per-run (its done channel cannot be
 // reused) and is recreated by Run before launch.
@@ -120,47 +87,27 @@ func (as *asyncState) reset() {
 	as.ring.Reset()
 	as.batch = as.ring.Get()
 	as.graph = nil
-	as.viewSnaps = 0
 	as.strands = 0
 	as.stats = Stats{}
 	as.races = nil
-	as.seqBusy.Reset()
-	as.shardLoad = nil
 	as.qlive = false
 }
 
-// setSharded fixes the summary-stamping split before the program starts
-// emitting: which masks are computed (summarize) and which stage computes
-// them (prodStamp). Producer stamping without masks would stamp nothing a
-// worker reads — the label stage owns the MaskAll stamp when summaries are
-// off — so prodStamp implies summarize.
-func (as *asyncState) setSharded(shards int, summarize, prodStamp bool) {
-	as.shards = shards
-	as.summarize = summarize
-	as.prodStamp = prodStamp && summarize
-}
-
 // emitCtl appends one structure event to the working batch, publishing it
-// when full, and — when the producer is the stamping stage — records the
-// event's offset in the batch summary so skip-scanning workers can replay
-// the structure stream without touching the access events.
+// when full.
 func (as *asyncState) emitCtl(op evstream.Op) {
 	if as.batch.Full() {
 		as.flush()
 	}
-	off := as.batch.AppendCtl(op)
-	if as.prodStamp {
-		as.batch.Sum.AddCtl(off)
-	}
+	as.batch.AppendCtl(op)
 }
 
-// emitAccess appends one per-access event, publishing the batch when full,
-// and ORs the access's page mask into the batch summary when the producer
-// is the stamping stage. This is the producer's entire per-access hot
-// path: an encode, two predictable branches, and one ring handoff per
-// batch. Accesses wholly inside a quiesced page are dropped here — the
-// cheapest possible no-op, saving the encode, the stream bytes, and the
-// consumer's scan (see the quiesce field for why this is sound).
+// emitAccess appends one per-access event, publishing the batch when full.
+// This is the producer's entire per-access hot path: an encode, two
+// predictable branches, and one ring handoff per batch. Accesses wholly
+// inside a quiesced page are dropped here — the cheapest possible no-op,
+// saving the encode, the stream bytes, and the consumer's scan (see the
+// quiesce field for why this is sound).
 func (as *asyncState) emitAccess(op evstream.Op, addr, size uint64) {
 	if as.qlive && deadEmit(as.quiesce, addr, size) {
 		return
@@ -168,24 +115,18 @@ func (as *asyncState) emitAccess(op evstream.Op, addr, size uint64) {
 	if as.batch.Full() {
 		as.flush()
 	}
-	if as.prodStamp {
-		as.batch.Sum.Mask |= evstream.SpanMask(addr, size, coalesce.PageBytesBits, as.shards)
-	}
 	as.batch.AppendAccess(op, addr, size)
 }
 
 // emitRange is emitAccess for compiler-coalesced range events. The span
-// for the mask is count*elem bytes; the hook layer's field validation
-// (count < 2^32, elem < 2^24) keeps the product inside 56 bits.
+// for the quiesce check is count*elem bytes; the hook layer's field
+// validation (count < 2^32, elem < 2^24) keeps the product inside 56 bits.
 func (as *asyncState) emitRange(op evstream.Op, addr uint64, count int, elem uint64) {
 	if as.qlive && deadEmit(as.quiesce, addr, uint64(count)*elem) {
 		return
 	}
 	if as.batch.Full() {
 		as.flush()
-	}
-	if as.prodStamp {
-		as.batch.Sum.Mask |= evstream.SpanMask(addr, uint64(count)*elem, coalesce.PageBytesBits, as.shards)
 	}
 	as.batch.AppendRange(op, addr, count, elem)
 }
@@ -202,20 +143,6 @@ func deadEmit(q *detect.QuiesceSet, addr, size uint64) bool {
 		return false
 	}
 	return q.Contains(first)
-}
-
-// deadEvent is deadEmit for a decoded event — the label stage's stamping
-// scan consults the registry after the fact for events the producer
-// streamed before its own liveness check caught up.
-func deadEvent(q *detect.QuiesceSet, ev evstream.Event) bool {
-	var size uint64
-	switch ev.EvOp() {
-	case evstream.OpRead, evstream.OpWrite:
-		size = ev.Size()
-	default:
-		size = uint64(ev.Count()) * ev.Elem()
-	}
-	return deadEmit(q, ev.Addr(), size)
 }
 
 // flush publishes the working batch and takes a fresh one from the ring's
@@ -253,7 +180,7 @@ func (as *asyncState) drain() {
 	as.stats.StreamBytes = rs.StreamBytes
 }
 
-// consumeState is the plain-Async detector side, retained across runs on a
+// consumeState is the Async detector side, retained across runs on a
 // reused Runner: the consumer's SP-Order structure, engine, canonical race
 // collector, and replay stack all keep their warm capacity between runs.
 type consumeState struct {
@@ -299,7 +226,7 @@ func (cs *consumeState) reset() {
 }
 
 // launchConsume wires the single-stage pipeline: one replay stage consuming
-// the main ring. Used for plain Async (no sharding). The abort hook closes
+// the ring. The abort hook closes
 // the ring so a panic in the stage (a user OnRace callback) unblocks the
 // producer instead of deadlocking the run.
 func (as *asyncState) launchConsume(cs *consumeState) {

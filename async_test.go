@@ -91,13 +91,8 @@ func TestAsyncStatsMatchSync(t *testing.T) {
 		async := runOneAsync(t, d, 0, 0, body)
 		// Everything except the timing and allocation fields must be
 		// byte-identical: same events, same serial order, same engine.
-		norm := func(s Stats) Stats {
-			s.AccessHistoryTime, s.AllocObjects, s.AllocBytes, s.PipelineDetectTime, s.BatchesSkipped = 0, 0, 0, 0, 0
-			s.EventsStreamed, s.StreamBytes = 0, 0
-			return s
-		}
-		if norm(async.Stats) != norm(sync.Stats) {
-			t.Errorf("%v: stats diverge\nasync: %+v\nsync:  %+v", d, norm(async.Stats), norm(sync.Stats))
+		if normStats(async.Stats) != normStats(sync.Stats) {
+			t.Errorf("%v: stats diverge\nasync: %+v\nsync:  %+v", d, normStats(async.Stats), normStats(sync.Stats))
 		}
 	}
 }

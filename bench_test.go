@@ -8,7 +8,6 @@ package stint_test
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"stint"
 	"stint/workloads"
@@ -131,77 +130,6 @@ func BenchmarkFig5Async(b *testing.B) {
 				b.ReportMetric(float64(rep.Stats.PipelineDetectTime.Nanoseconds())/1e6, "detect-busy-ms")
 				if n := rep.Stats.EventsStreamed; n > 0 {
 					b.ReportMetric(float64(rep.Stats.StreamBytes)/float64(n), "bytes-per-event")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig5Sharded repeats the Figure 5 measurement with detection
-// partitioned across 4 page-sharded workers (Options.DetectShards). Beyond
-// the headline ns/op it reports the utilization split: detect-busy-ms sums
-// the workers, seq-busy-ms is the sequencer's labeling-and-routing time,
-// and max-shard-ms is the busiest worker — the sharded pipeline's
-// multi-core critical path. On a single core the workers timeshare, so
-// compare max-shard-ms against BenchmarkFig5Async's detect-busy-ms for the
-// parallelism headroom rather than expecting a wall-clock win.
-func BenchmarkFig5Sharded(b *testing.B) {
-	modes := []stint.Detector{stint.DetectorCompRTS, stint.DetectorSTINT}
-	for _, wl := range benchFactories() {
-		for _, mode := range modes {
-			b.Run(fmt.Sprintf("%s/%v", wl.name, mode), func(b *testing.B) {
-				rep := runDetectionOpts(b, wl.f, stint.Options{Detector: mode, Async: true, DetectShards: 4})
-				b.ReportMetric(float64(rep.Stats.PipelineDetectTime.Nanoseconds())/1e6, "detect-busy-ms")
-				b.ReportMetric(float64(rep.SequencerBusy.Nanoseconds())/1e6, "seq-busy-ms")
-				if n := rep.Stats.EventsStreamed; n > 0 {
-					b.ReportMetric(float64(rep.Stats.StreamBytes)/float64(n), "bytes-per-event")
-				}
-				var max time.Duration
-				for _, d := range rep.ShardBusy {
-					if d > max {
-						max = d
-					}
-				}
-				b.ReportMetric(float64(max.Nanoseconds())/1e6, "max-shard-ms")
-			})
-		}
-	}
-}
-
-// BenchmarkFig5ShardedEncoding pits the two wire encodings against each
-// other on the sharded pipeline at 4 shards for the two workloads ROADMAP
-// names (sort, fft): compact-blocks must not cost wall clock against the
-// fixed 16-byte stream now that decoding is a block kernel rather than a
-// per-event varint loop. Run with GOMAXPROCS=4 for the true-overlap
-// measurement; on fewer cores the stages timeshare and the comparison
-// degenerates to total CPU, which is the harder bar for the compact side
-// (it pays encode+decode for bandwidth it can't cash). ev/blk reports how
-// well the stream blocks (near 64 is healthy; low flags degenerate
-// blocking as the cause of any gap).
-func BenchmarkFig5ShardedEncoding(b *testing.B) {
-	for _, wl := range benchFactories() {
-		if wl.name != "sort" && wl.name != "fft" {
-			continue
-		}
-		for _, enc := range []struct {
-			name      string
-			nocompact bool
-		}{{"compact-blocks", false}, {"fixed", true}} {
-			b.Run(fmt.Sprintf("%s/%s", wl.name, enc.name), func(b *testing.B) {
-				rep := runDetectionOpts(b, wl.f, stint.Options{
-					Detector: stint.DetectorSTINT, Async: true, DetectShards: 4,
-					DisableCompactEvents: enc.nocompact,
-				})
-				if n := rep.Stats.EventsStreamed; n > 0 {
-					b.ReportMetric(float64(rep.Stats.StreamBytes)/float64(n), "bytes-per-event")
-				}
-				var events, blocks uint64
-				for _, l := range rep.ShardLoad {
-					events += l.EventsScanned
-					blocks += l.BlocksDecoded
-				}
-				if blocks > 0 {
-					b.ReportMetric(float64(events)/float64(blocks), "ev-per-blk")
 				}
 			})
 		}

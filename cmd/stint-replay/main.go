@@ -6,7 +6,7 @@
 //
 //	stint-replay -detector stint trace.bin
 //	stint-replay -detector vanilla -races 20 trace.bin
-//	stint-replay -detector stint -shards 4 trace.bin
+//	stint-replay -detector stint -async trace.bin
 package main
 
 import (
@@ -26,7 +26,6 @@ func main() {
 		races      = flag.Int("races", 10, "max races to print")
 		timing     = flag.Bool("timing", false, "measure access-history time separately")
 		async      = flag.Bool("async", false, "replay through the pipelined detector (decoder and detector on separate goroutines)")
-		shards     = flag.Int("shards", 0, "partition pipelined detection across N workers by shadow page (implies -async; comp+rts and stint variants only)")
 		noCompact  = flag.Bool("no-compact", false, "stream fixed 16-byte events instead of the compact delta encoding (for before/after measurement)")
 		quiesce    = flag.Int("quiesce", 0, "retire a shadow page's access history once it produces N races (0 disables)")
 		maxHistory = flag.Int64("max-history", 0, "abort the replay when the retained access history exceeds N bytes (0 = unlimited)")
@@ -36,13 +35,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: stint-replay [flags] TRACEFILE")
 		os.Exit(2)
 	}
-	if err := run(flag.Arg(0), *detector, *races, *timing, *async, *shards, *noCompact, *quiesce, *maxHistory); err != nil {
+	if err := run(flag.Arg(0), *detector, *races, *timing, *async, *noCompact, *quiesce, *maxHistory); err != nil {
 		fmt.Fprintln(os.Stderr, "stint-replay:", err)
 		os.Exit(1)
 	}
 }
 
-func run(path, detector string, maxRaces int, timing, async bool, shards int, noCompact bool, quiesce int, maxHistory int64) error {
+func run(path, detector string, maxRaces int, timing, async, noCompact bool, quiesce int, maxHistory int64) error {
 	mode, err := stint.ParseDetector(detector)
 	if err != nil {
 		return err
@@ -58,7 +57,6 @@ func run(path, detector string, maxRaces int, timing, async bool, shards int, no
 		MaxRacesRecorded:     maxRaces,
 		TimeAccessHistory:    timing,
 		Async:                async,
-		Shards:               shards,
 		NoCompact:            noCompact,
 		PageQuiesceThreshold: quiesce,
 		MaxHistoryBytes:      maxHistory,
@@ -67,11 +65,8 @@ func run(path, detector string, maxRaces int, timing, async bool, shards int, no
 		return err
 	}
 	pipe := ""
-	if async || shards > 0 {
+	if async {
 		pipe = " (async pipeline)"
-		if shards > 0 {
-			pipe = fmt.Sprintf(" (async pipeline, %d detection shards)", shards)
-		}
 	}
 	fmt.Printf("replayed %s under %v%s in %v\n", path, mode, pipe, time.Since(start).Round(time.Microsecond))
 	fmt.Printf("strands    %d\n", rep.Strands)

@@ -36,7 +36,6 @@ func main() {
 		queue      = flag.Int("queue", 0, "admission queue depth (default 2x runners)")
 		detector   = flag.String("detector", "stint", "detector mode for every replay")
 		races      = flag.Int("races", 64, "max races recorded per trace")
-		shards     = flag.Int("shards", 0, "detection shards per replay (implies async pipeline)")
 		async      = flag.Bool("async", false, "replay through the pipelined detector")
 		maxBytes   = flag.Int64("max-trace-bytes", 64<<20, "reject uploads larger than this (413); negative disables")
 		maxEvents  = flag.Uint64("max-events", 0, "abort replays exceeding this many trace events (0 = unbounded)")
@@ -45,13 +44,13 @@ func main() {
 		fresh      = flag.Bool("fresh-runners", false, "build a fresh Runner per trace instead of reusing the warm pool (baseline mode)")
 	)
 	flag.Parse()
-	if err := run(*addr, *runners, *queue, *detector, *races, *shards, *async, *maxBytes, *maxEvents, *quiesce, *maxHistory, *fresh); err != nil {
+	if err := run(*addr, *runners, *queue, *detector, *races, *async, *maxBytes, *maxEvents, *quiesce, *maxHistory, *fresh); err != nil {
 		fmt.Fprintln(os.Stderr, "stint-serve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, runners, queue int, detector string, races, shards int, async bool, maxBytes int64, maxEvents uint64, quiesce int, maxHistory int64, fresh bool) error {
+func run(addr string, runners, queue int, detector string, races int, async bool, maxBytes int64, maxEvents uint64, quiesce int, maxHistory int64, fresh bool) error {
 	mode, err := stint.ParseDetector(detector)
 	if err != nil {
 		return err
@@ -65,8 +64,7 @@ func run(addr string, runners, queue int, detector string, races, shards int, as
 		Opts: stint.Options{
 			Detector:             mode,
 			MaxRacesRecorded:     races,
-			Async:                async || shards > 0,
-			DetectShards:         shards,
+			Async:                async,
 			PageQuiesceThreshold: quiesce,
 			MaxHistoryBytes:      maxHistory,
 		},

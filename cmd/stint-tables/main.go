@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	stint-tables [-scale 1] [-reps 3] fig1 fig5 fig6 fig7 fig8 ablation allocs async util serve
+//	stint-tables [-scale 1] [-reps 3] fig1 fig5 fig6 fig7 fig8 ablation allocs async serve
 //	stint-tables all
 //
 // The extra "allocs" table (not part of the paper, and not included in
@@ -14,12 +14,9 @@
 // run, backing the allocation-free hot-path work in EXPERIMENTS.md. The
 // extra "async" table (also outside the paper, whose detector is strictly
 // inline) compares synchronous vs pipelined detection wall clock. The
-// extra "util" table breaks the sharded stage graph's busy time down by
-// stage — the thin label stage against the busiest shard worker — backing
-// the sequencer-bottleneck numbers in EXPERIMENTS.md. The extra "serve"
-// table (also outside the paper) records every benchmark once, ingests the
-// traces through an in-process stint-serve warm-pool instance, and prints
-// the service's pool utilization from /v1/statusz.
+// extra "serve" table (also outside the paper) records every benchmark
+// once, ingests the traces through an in-process stint-serve warm-pool
+// instance, and prints the service's pool utilization from /v1/statusz.
 package main
 
 import (
@@ -60,14 +57,12 @@ func main() {
 			err = suite.Allocs()
 		case "async":
 			err = suite.Async()
-		case "util":
-			err = suite.Util()
 		case "serve":
 			err = suite.Serve()
 		case "all":
 			err = suite.All()
 		default:
-			err = fmt.Errorf("unknown table %q (want fig1|fig5|fig6|fig7|fig8|ablation|allocs|async|util|serve|all)", a)
+			err = fmt.Errorf("unknown table %q (want fig1|fig5|fig6|fig7|fig8|ablation|allocs|async|serve|all)", a)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "stint-tables:", err)

@@ -184,47 +184,45 @@ func wordSetDiff(a, b map[Addr]bool) string {
 	return fmt.Sprintf("only-first=%v only-second=%v", onlyA, onlyB)
 }
 
-// reportFor runs the program under one detector and execution mode
-// (shards: -1 = synchronous, 0 = plain async, n > 0 = sharded async) and
-// returns the full Report, using the same tiny pipeline geometry as
-// racingWordsFor.
-func reportFor(t *testing.T, d Detector, shards int, acts []act) *Report {
-	return reportForOpts(t, d, shards, pipeOpts{}, acts)
+// coalescingDetectors are the runtime-coalescing detectors: their hooks
+// only update per-page state, so they report identical stats and support
+// per-page quiescing.
+var coalescingDetectors = []Detector{
+	DetectorCompRTS, DetectorSTINT, DetectorSTINTUnbalanced, DetectorSTINTSkiplist,
 }
 
-// pipeOpts selects the pipeline knobs an equivalence leg toggles: batch
-// summaries, the compact event encoding, and which stage stamps summaries.
-// Every combination must produce the identical Report.
-type pipeOpts struct {
-	nosum     bool
-	nocompact bool
-	stamp     SummaryStamping
-	// quiesce adds the fuzzer's per-page quiescing differential legs
-	// (PageQuiesceThreshold 2 on every mode).
-	quiesce bool
+// normStats zeroes the timing-, allocation-, and transport-dependent
+// fields so the deterministic counters can be compared across execution
+// modes. EventsStreamed and StreamBytes describe the transport, not the
+// detection: sync runs have no stream and the wire bytes vary with the
+// encoding by design. HistoryBytesPeak and PagesQuiesced stay compared:
+// sync and Async feed one engine the same accesses in the same order, and
+// quiesce decisions are page-local and deterministic.
+func normStats(s Stats) Stats {
+	s.AccessHistoryTime = 0
+	s.AllocObjects = 0
+	s.AllocBytes = 0
+	s.PipelineDetectTime = 0
+	s.EventsStreamed = 0
+	s.StreamBytes = 0
+	return s
 }
 
-// reportForOpts is reportFor with the pipeline knobs exposed, so the suite
-// can assert that neither the skip fast path, nor the wire encoding, nor
-// the stamping stage changes a byte of the Report.
-func reportForOpts(t *testing.T, d Detector, shards int, po pipeOpts, acts []act) *Report {
+// reportFor runs the program under one detector, synchronously or through
+// the async pipeline over either event encoding, and returns the full
+// Report, using the same tiny pipeline geometry as racingWordsFor.
+func reportFor(t *testing.T, d Detector, async, nocompact bool, acts []act) *Report {
 	t.Helper()
-	opts := Options{
-		Detector:              d,
-		MaxRacesRecorded:      1 << 20,
-		DisableBatchSummaries: po.nosum,
-		DisableCompactEvents:  po.nocompact,
-		SummaryStamping:       po.stamp,
-	}
-	if shards >= 0 {
-		opts.Async = true
-		opts.DetectShards = shards
-	}
-	r, err := NewRunner(opts)
+	r, err := NewRunner(Options{
+		Detector:             d,
+		MaxRacesRecorded:     1 << 20,
+		Async:                async,
+		DisableCompactEvents: nocompact,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shards >= 0 {
+	if async {
 		r.asyncBatchEvents, r.asyncRingDepth = 8, 2
 	}
 	bufs, _ := allocBufs(r)
@@ -235,16 +233,12 @@ func reportForOpts(t *testing.T, d Detector, shards int, po pipeOpts, acts []act
 	return rep
 }
 
-// checkCanonicalReports asserts the satellite guarantee: the Report —
-// races in canonical order, counts, strands, deterministic stats — is
-// identical across sync, async, and (for supported detectors) shard counts
-// {1, 2, 4}, with batch summaries both on and off, with the compact event
-// encoding both on and off, and regardless of which stage stamps summaries
-// (the stamping choice rotates across shard counts to keep the leg count
-// bounded: producer at n=1, label stage at n=2, auto at n=4).
+// checkCanonicalReports asserts the Report — races in canonical order,
+// counts, strands, deterministic stats — is identical across sync and
+// async, with the compact event encoding both on and off.
 func checkCanonicalReports(t *testing.T, seed int64, d Detector, acts []act) {
 	t.Helper()
-	sync := reportFor(t, d, -1, acts)
+	sync := reportFor(t, d, false, false, acts)
 	check := func(name string, got *Report) {
 		t.Helper()
 		if got.RaceCount != sync.RaceCount || got.Strands != sync.Strands {
@@ -260,28 +254,8 @@ func checkCanonicalReports(t *testing.T, seed int64, d Detector, acts []act) {
 				seed, d, name, ng, ns, acts)
 		}
 	}
-	check("async", reportFor(t, d, 0, acts))
-	check("async nocompact", reportForOpts(t, d, 0, pipeOpts{nocompact: true}, acts))
-	switch d {
-	case DetectorCompRTS, DetectorSTINT, DetectorSTINTUnbalanced, DetectorSTINTSkiplist:
-		stampFor := map[int]SummaryStamping{1: StampProducer, 2: StampLabelStage, 4: StampAuto}
-		for _, n := range []int{1, 2, 4} {
-			stamp := stampFor[n]
-			check(fmt.Sprintf("shards=%d", n), reportForOpts(t, d, n, pipeOpts{stamp: stamp}, acts))
-			// The wire encoding is invisible above the ring: the fixed
-			// 16-byte form must reproduce the compact form's report.
-			check(fmt.Sprintf("shards=%d nocompact", n),
-				reportForOpts(t, d, n, pipeOpts{nocompact: true, stamp: stamp}, acts))
-			// Summaries are a pure scan elision: disabling them must not
-			// change a byte of the report, and without them nothing skips.
-			nosum := reportForOpts(t, d, n, pipeOpts{nosum: true, stamp: stamp}, acts)
-			if nosum.Stats.BatchesSkipped != 0 {
-				t.Fatalf("seed %d: %v shards=%d: summaries disabled but BatchesSkipped = %d",
-					seed, d, n, nosum.Stats.BatchesSkipped)
-			}
-			check(fmt.Sprintf("shards=%d nosum", n), nosum)
-		}
-	}
+	check("async", reportFor(t, d, true, false, acts))
+	check("async nocompact", reportFor(t, d, true, true, acts))
 }
 
 func checkEquivalence(t *testing.T, seed int64, acts []act) {
@@ -311,7 +285,7 @@ func checkEquivalence(t *testing.T, seed int64, acts []act) {
 					seed, d, w, acts)
 			}
 		}
-		// Full-report identity across execution modes and shard counts.
+		// Full-report identity across execution modes and encodings.
 		checkCanonicalReports(t, seed, d, acts)
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 // fuzzWideElems sizes the fuzz-only "wide" buffer: 128 KiB of words, so it
 // straddles at least one 64 KiB shadow-page boundary and range accesses on
-// it exercise the workers' local page splitting and shard filtering.
+// it exercise the engines' per-page history and page-local quiescing.
 const fuzzWideElems = 32768
 
 // fuzzAllocBufs allocates the equivalence suite's buffers plus the wide
@@ -21,58 +21,46 @@ func fuzzAllocBufs(r *Runner) ([]*Buffer, []int) {
 }
 
 // FuzzAsyncAgainstSync decodes arbitrary bytes into a fork-join program
-// and pipeline geometry — batch capacity, ring depth, a detection shard
-// count, and a flags byte toggling the compact encoding and the summary-
-// stamping stage — runs it once synchronously, once through the plain
-// async pipeline, and (when the shard byte asks for it) twice sharded —
-// once with batch summaries, once with them disabled — and requires
-// identical racing-word sets, canonical race reports, strand
-// counts, and (timing-normalized) stats. A further flags bit re-runs the
-// mode matrix with per-page quiescing enabled and requires the quiesced
-// reports to agree across modes too. Tiny batch capacities and ring
-// depths force the batch-boundary edge cases: events split across batches,
-// empty final batches, backpressure stalls, and drain while a strand's
-// accesses are still buffered. Shard counts above one additionally force
-// page-split routing and cross-worker merge.
+// and pipeline geometry — batch capacity, ring depth, and a flags byte
+// toggling the compact encoding — runs it once synchronously and once
+// through the async pipeline, and requires identical racing-word sets,
+// canonical race reports, strand counts, and (timing-normalized) stats. A
+// further flags bit re-runs both modes with per-page quiescing enabled and
+// requires the quiesced reports to agree too. Tiny batch capacities and
+// ring depths force the batch-boundary edge cases: events split across
+// batches, empty final batches, backpressure stalls, and drain while a
+// strand's accesses are still buffered.
 func FuzzAsyncAgainstSync(f *testing.F) {
 	f.Add([]byte{})
-	// Geometry 1x1 (max handoffs), unsharded, racy spawn/store/store/sync.
+	// Geometry 1x1 (max handoffs), racy spawn/store/store/sync.
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x05, 0x01, 0x04, 0x00, 0x05, 0x02})
-	// Range accesses split across 2-event batches, 2 shards.
+	// Range accesses split across 2-event batches.
 	f.Add([]byte{0x01, 0x01, 0x02, 0x00, 0x00, 0x05, 0x01, 0x00, 0x00, 0x00, 0x20, 0x01, 0x06, 0x01, 0x00, 0x10, 0x00, 0x30, 0x02})
 	// Drain mid-strand: spawn body never terminated, accesses buffered at
 	// stream end.
 	f.Add([]byte{0x02, 0x00, 0x00, 0x00, 0x00, 0x04, 0x02, 0x07, 0x03, 0x00, 0x01})
 	// Deep nesting with interleaved syncs.
 	f.Add([]byte{0x03, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x01, 0x02, 0x01, 0x02, 0x01, 0x04, 0x02, 0x08, 0x02})
-	// Cross-shard racy pair: two strands write the same 128 KiB span of the
-	// wide buffer, so the racing pieces land on different shards.
+	// Two strands write the same 128 KiB span of the wide buffer, so the
+	// race covers two full pages.
 	f.Add([]byte{0x01, 0x01, 0x02, 0x00, 0x00, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x01, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x02})
-	// Worker-side split of one page-straddling access: a 16-byte range write
-	// at wide index 13310 crosses the 64 KiB boundary at index 13312, so each
-	// worker page-splits the event locally, keeps only its own piece, and the
-	// hook-call adjustment (only the first piece's owner counts the original
-	// call) must reconcile across two shards. Two parallel strands write the
-	// same straddling range, so the race itself spans the boundary too.
+	// One page-straddling access: a 16-byte range write at wide index 13310
+	// crosses the 64 KiB boundary at index 13312. Two parallel strands write
+	// the same straddling range, so the race itself spans the boundary too.
 	f.Add([]byte{0x01, 0x01, 0x02, 0x00, 0x00, 0x06, 0x03, 0x33, 0xfe, 0x00, 0x03, 0x01, 0x06, 0x03, 0x33, 0xfe, 0x00, 0x03, 0x02})
-	// All-events-one-page skew: 4 shards but every access on one page, so a
-	// single worker carries the whole load, the others skip-scan off the
-	// batch summaries, and the summaries-off leg re-runs it with every
-	// worker on the slow path.
+	// Every access on one page. The third header byte and flags bits 1-3
+	// are ignored (they selected since-removed execution modes), so these
+	// seeds differ only in the encoding bit.
 	f.Add([]byte{0x00, 0x00, 0x04, 0x00, 0x00, 0x04, 0x00, 0x05, 0x01, 0x04, 0x00, 0x05, 0x02})
-	// The same skew under the fixed 16-byte encoding (flags bit 0)...
+	// The same under the fixed 16-byte encoding (flags bit 0)...
 	f.Add([]byte{0x00, 0x00, 0x04, 0x01, 0x00, 0x04, 0x00, 0x05, 0x01, 0x04, 0x00, 0x05, 0x02})
-	// ...and with both forced stamping stages (flags bits 1-2).
+	// ...and with the ignored flags bits 1-2 set.
 	f.Add([]byte{0x00, 0x00, 0x04, 0x02, 0x00, 0x04, 0x00, 0x05, 0x01, 0x04, 0x00, 0x05, 0x02})
 	f.Add([]byte{0x00, 0x00, 0x04, 0x04, 0x00, 0x04, 0x00, 0x05, 0x01, 0x04, 0x00, 0x05, 0x02})
-	// All-ones fallback: the two racing range writes span the full 128 KiB
-	// wide buffer (> 2 pages), so AccessMask gives up and stamps MaskAll —
-	// all 4 workers must take the full-scan path even though each owns only
-	// a slice of the pages.
+	// Racing range writes spanning the full 128 KiB wide buffer (more than
+	// two pages).
 	f.Add([]byte{0x01, 0x01, 0x04, 0x00, 0x00, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x01, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x02})
-	// Flags bit 3 is ignored (it selected a since-removed execution mode);
-	// the seeds that set it stay as extra program shapes. The cross-shard
-	// racy pair once more:
+	// The two-page racy pair once more, with the ignored flags bit 3 set:
 	f.Add([]byte{0x01, 0x01, 0x02, 0x08, 0x00, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x01, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x02})
 	// A degenerate single-strand program: no spawns, so the whole stream
 	// is the root strand's accesses.
@@ -80,13 +68,12 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 	// Quiescing mid-batch (flags bit 4): the page-straddling racy range pair
 	// again, now with a threshold-2 quiesce differential — the page under the
 	// straddle retires while the range's other piece is still live, and the
-	// sharded workers' local page splits must agree with sync on which piece
-	// died.
+	// async run must agree with sync on which piece died.
 	f.Add([]byte{0x01, 0x01, 0x02, 0x10, 0x00, 0x06, 0x03, 0x33, 0xfe, 0x00, 0x03, 0x01, 0x06, 0x03, 0x33, 0xfe, 0x00, 0x03, 0x02})
 	// The same with repeated racy pairs, so the threshold actually trips.
 	f.Add([]byte{0x01, 0x01, 0x02, 0x18, 0x00, 0x06, 0x03, 0x33, 0xfe, 0x00, 0x03, 0x01, 0x06, 0x03, 0x33, 0xfe, 0x00, 0x03, 0x01, 0x06, 0x03, 0x33, 0xfe, 0x00, 0x03, 0x01, 0x06, 0x03, 0x33, 0xfe, 0x00, 0x03, 0x02})
-	// Cross-shard racy pair with quiescing: the racing span covers two full
-	// pages, so both pages accumulate races and retire on different workers.
+	// The two-page racy pair with quiescing: both pages accumulate races
+	// and retire.
 	f.Add([]byte{0x01, 0x01, 0x02, 0x10, 0x00, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x01, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x01, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x02})
 	// A spawn-heavy body with nested children under one-event batches:
 	// every access and structure event gets its own batch.
@@ -96,7 +83,7 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 		if len(data) > 4096 {
 			return // keep individual executions fast
 		}
-		prog, batchEvents, ringDepth, shards, po := decodeFuzzProgram(data)
+		prog, batchEvents, ringDepth, po := decodeFuzzProgram(data)
 
 		type result struct {
 			words   map[Addr]bool
@@ -104,31 +91,21 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 			strands int
 			stats   Stats
 		}
-		// mode: -1 = synchronous, 0 = plain async, n > 0 = n-sharded async.
-		// nosum disables the batch summaries, forcing every worker onto the
-		// full-scan path.
-		run := func(mode int, nosum bool) result {
+		// run executes prog synchronously or through the async pipeline,
+		// with per-page quiescing at threshold (0 disables it).
+		run := func(async bool, threshold int) result {
 			words := make(map[Addr]bool)
-			opts := Options{
-				Detector:              DetectorSTINT,
-				DisableBatchSummaries: nosum,
-				DisableCompactEvents:  po.nocompact,
-				SummaryStamping:       po.stamp,
-				OnRace: func(rc Race) {
-					for a := rc.Addr &^ 3; a < rc.Addr+rc.Size; a += 4 {
-						words[a] = true
-					}
-				},
-			}
-			if mode >= 0 {
-				opts.Async = true
-				opts.DetectShards = mode
-			}
-			r, err := NewRunner(opts)
+			r, err := NewRunner(Options{
+				Detector:             DetectorSTINT,
+				Async:                async,
+				PageQuiesceThreshold: threshold,
+				DisableCompactEvents: po.nocompact,
+				OnRace:               func(rc Race) { addRaceWords(words, rc) },
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if mode >= 0 {
+			if async {
 				r.asyncBatchEvents, r.asyncRingDepth = batchEvents, ringDepth
 			}
 			bufs, _ := fuzzAllocBufs(r)
@@ -139,35 +116,22 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 			return result{words: words, races: rep.Races, strands: rep.Strands, stats: normStats(rep.Stats)}
 		}
 
-		sync := run(-1, false)
-		check := func(name string, got result) {
-			if got.strands != sync.strands {
-				t.Fatalf("strands: %s %d, sync %d (batch=%d depth=%d shards=%d)\nprogram: %+v",
-					name, got.strands, sync.strands, batchEvents, ringDepth, shards, prog)
-			}
-			if got.stats != sync.stats {
-				t.Fatalf("stats diverge (%s, batch=%d depth=%d shards=%d)\n%s: %+v\nsync:  %+v\nprogram: %+v",
-					name, batchEvents, ringDepth, shards, name, got.stats, sync.stats, prog)
-			}
-			if !reflect.DeepEqual(got.races, sync.races) {
-				t.Fatalf("canonical races diverge (%s, batch=%d depth=%d shards=%d)\n%s: %v\nsync:  %v\nprogram: %+v",
-					name, batchEvents, ringDepth, shards, name, got.races, sync.races, prog)
-			}
-			if len(got.words) != len(sync.words) {
-				t.Fatalf("racing words: %s %d, sync %d\nprogram: %+v", name, len(got.words), len(sync.words), prog)
-			}
-			for w := range sync.words {
-				if !got.words[w] {
-					t.Fatalf("%s missed racing word %#x\nprogram: %+v", name, w, prog)
-				}
-			}
+		sync, got := run(false, 0), run(true, 0)
+		if got.strands != sync.strands {
+			t.Fatalf("strands: async %d, sync %d (batch=%d depth=%d)\nprogram: %+v",
+				got.strands, sync.strands, batchEvents, ringDepth, prog)
 		}
-		check("async", run(0, false))
-		if shards > 0 {
-			check("sharded", run(shards, false))
-			// Summaries are a pure scan elision: disabling them must not
-			// change a byte of the normalized result.
-			check("sharded-nosum", run(shards, true))
+		if got.stats != sync.stats {
+			t.Fatalf("stats diverge (batch=%d depth=%d)\nasync: %+v\nsync:  %+v\nprogram: %+v",
+				batchEvents, ringDepth, got.stats, sync.stats, prog)
+		}
+		if !reflect.DeepEqual(got.races, sync.races) {
+			t.Fatalf("canonical races diverge (batch=%d depth=%d)\nasync: %v\nsync:  %v\nprogram: %+v",
+				batchEvents, ringDepth, got.races, sync.races, prog)
+		}
+		if !reflect.DeepEqual(got.words, sync.words) {
+			t.Fatalf("racing words: async %d, sync %d (%s)\nprogram: %+v",
+				len(got.words), len(sync.words), wordSetDiff(got.words, sync.words), prog)
 		}
 		if po.quiesce {
 			// Quiescing differential: with a threshold of 2, pages retire
@@ -175,59 +139,22 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 			// page-straddling range. The quiesce decision is page-local and
 			// taken at a deterministic point in the serial order, so races,
 			// racing words, strands, and the pages-quiesced count must be
-			// identical across every mode. Full stats are NOT compared: the
+			// identical in both modes. Full stats are NOT compared: the
 			// producer-side drops legitimately elide hook calls the
 			// synchronous run counts.
-			qrun := func(mode int) result {
-				words := make(map[Addr]bool)
-				opts := Options{
-					Detector:             DetectorSTINT,
-					PageQuiesceThreshold: 2,
-					DisableCompactEvents: po.nocompact,
-					OnRace: func(rc Race) {
-						for a := rc.Addr &^ 3; a < rc.Addr+rc.Size; a += 4 {
-							words[a] = true
-						}
-					},
-				}
-				if mode >= 0 {
-					opts.Async = true
-					opts.DetectShards = mode
-				}
-				r, err := NewRunner(opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if mode >= 0 {
-					r.asyncBatchEvents, r.asyncRingDepth = batchEvents, ringDepth
-				}
-				bufs, _ := fuzzAllocBufs(r)
-				rep, err := r.Run(func(task *Task) { runActs(task, bufs, prog) })
-				if err != nil {
-					t.Fatal(err)
-				}
-				st := Stats{PagesQuiesced: rep.Stats.PagesQuiesced}
-				return result{words: words, races: rep.Races, strands: rep.Strands, stats: st}
+			qsync, qgot := run(false, 2), run(true, 2)
+			if qgot.strands != qsync.strands || qgot.stats.PagesQuiesced != qsync.stats.PagesQuiesced {
+				t.Fatalf("quiesced strands/pages %d/%d, sync %d/%d (batch=%d depth=%d)\nprogram: %+v",
+					qgot.strands, qgot.stats.PagesQuiesced, qsync.strands, qsync.stats.PagesQuiesced,
+					batchEvents, ringDepth, prog)
 			}
-			qsync := qrun(-1)
-			qcheck := func(name string, got result) {
-				if got.strands != qsync.strands || got.stats.PagesQuiesced != qsync.stats.PagesQuiesced {
-					t.Fatalf("%s: strands/quiesced %d/%d, sync %d/%d (batch=%d depth=%d shards=%d)\nprogram: %+v",
-						name, got.strands, got.stats.PagesQuiesced, qsync.strands, qsync.stats.PagesQuiesced,
-						batchEvents, ringDepth, shards, prog)
-				}
-				if !reflect.DeepEqual(got.races, qsync.races) {
-					t.Fatalf("quiesced races diverge (%s, batch=%d depth=%d shards=%d)\n%s: %v\nsync:  %v\nprogram: %+v",
-						name, batchEvents, ringDepth, shards, name, got.races, qsync.races, prog)
-				}
-				if !reflect.DeepEqual(got.words, qsync.words) {
-					t.Fatalf("quiesced racing words diverge (%s): %d vs sync %d\nprogram: %+v",
-						name, len(got.words), len(qsync.words), prog)
-				}
+			if !reflect.DeepEqual(qgot.races, qsync.races) {
+				t.Fatalf("quiesced races diverge (batch=%d depth=%d)\nasync: %v\nsync:  %v\nprogram: %+v",
+					batchEvents, ringDepth, qgot.races, qsync.races, prog)
 			}
-			qcheck("quiesce-async", qrun(0))
-			if shards > 0 {
-				qcheck("quiesce-sharded", qrun(shards))
+			if !reflect.DeepEqual(qgot.words, qsync.words) {
+				t.Fatalf("quiesced racing words diverge: async %d vs sync %d\nprogram: %+v",
+					len(qgot.words), len(qsync.words), prog)
 			}
 		}
 	})
@@ -288,9 +215,9 @@ func FuzzSyncAgainstOracle(f *testing.F) {
 		}
 		// Only the program and the quiesce flag matter here: the pipeline
 		// geometry bytes select async legs this target does not run.
-		prog, _, _, _, po := decodeFuzzProgram(data)
+		prog, _, _, po := decodeFuzzProgram(data)
 		want := oracleWords(t, fuzzAllocBufs, prog)
-		for _, d := range shardTestDetectors {
+		for _, d := range coalescingDetectors {
 			words := make(map[Addr]bool)
 			r, err := NewRunner(Options{
 				Detector:         d,
@@ -338,17 +265,30 @@ func FuzzSyncAgainstOracle(f *testing.F) {
 	})
 }
 
+// pipeOpts holds the fuzz header's flags: the fixed event encoding and the
+// per-page quiescing differential legs.
+type pipeOpts struct {
+	nocompact bool
+	quiesce   bool
+}
+
 // decodeFuzzProgram turns raw bytes into (program, batchEvents, ringDepth,
-// shards, pipeline flags). The first four bytes pick a tiny pipeline
-// geometry — shards of zero means "compare the plain async pipeline only";
-// the flags byte toggles the fixed encoding (bit 0), picks the summary-
-// stamping stage (bits 1-2), and adds the per-page quiescing differential
-// legs (bit 4); bit 3 is ignored — and the rest is a
-// byte-code for act programs.
-// Every input decodes to a valid program — the fuzzer explores program
-// shapes, not parser rejections.
-func decodeFuzzProgram(data []byte) ([]act, int, int, int, pipeOpts) {
-	batchEvents, ringDepth, shards := 1, 1, 0
+// pipeline flags), and every input decodes to a valid program — the fuzzer
+// explores program shapes, not parser rejections. The four header bytes are:
+//
+//  0. batch capacity (1..16 events);
+//  1. ring depth (1..4 batches);
+//  2. ignored — it was a detection shard count, an execution mode since
+//     removed; it is still consumed so the seed corpus decodes to the same
+//     programs;
+//  3. flags: bit 0 selects the fixed 16-byte encoding, bit 4 adds the
+//     per-page quiescing differential legs; bits 1-3 are ignored (they
+//     selected summary-stamping stages and an execution mode since
+//     removed).
+//
+// The rest is a byte-code for act programs.
+func decodeFuzzProgram(data []byte) ([]act, int, int, pipeOpts) {
+	batchEvents, ringDepth := 1, 1
 	var po pipeOpts
 	if len(data) > 0 {
 		batchEvents = int(data[0]%16) + 1
@@ -359,12 +299,10 @@ func decodeFuzzProgram(data []byte) ([]act, int, int, int, pipeOpts) {
 		data = data[1:]
 	}
 	if len(data) > 0 {
-		shards = int(data[0] % 5)
-		data = data[1:]
+		data = data[1:] // the ignored former shard count
 	}
 	if len(data) > 0 {
 		po.nocompact = data[0]&1 != 0
-		po.stamp = SummaryStamping(((data[0] >> 1) & 3) % 3)
 		po.quiesce = data[0]&16 != 0
 		data = data[1:]
 	}
@@ -428,5 +366,5 @@ func decodeFuzzProgram(data []byte) ([]act, int, int, int, pipeOpts) {
 		}
 		return acts
 	}
-	return parse(0), batchEvents, ringDepth, shards, po
+	return parse(0), batchEvents, ringDepth, po
 }

@@ -19,116 +19,33 @@ func pct(part, whole time.Duration) string {
 	return fmt.Sprintf("%.0f%%", 100*float64(part)/float64(whole))
 }
 
-// StageBusy decomposes a pipelined run's busy time by stage: the label
-// stage (which only consumes structure events and stamps batches with
-// reachability labels), the summed detection work across workers, and the
-// busiest single worker — the detection side's critical path once cores
-// are available. ok is false for synchronous runs (no pipeline). For plain
-// async runs the one consumer is both the only worker and the maximum, and
-// the label stage's work is folded into it (label = 0).
-func StageBusy(rep *stint.Report) (label, workers, maxWorker time.Duration, ok bool) {
-	st := rep.Stats
-	if st.PipelineDetectTime <= 0 {
-		return 0, 0, 0, false
-	}
-	label = rep.SequencerBusy
-	workers = st.PipelineDetectTime
-	maxWorker = workers
-	if rep.ShardBusy != nil {
-		maxWorker = 0
-		for _, b := range rep.ShardBusy {
-			if b > maxWorker {
-				maxWorker = b
-			}
-		}
-	}
-	return label, workers, maxWorker, true
-}
-
 // PipelineReport renders the async pipeline's utilization readout: the
-// detector side's busy time against the run's wall time and, for sharded
-// runs, the label-stage/worker split. It returns nil for synchronous runs
-// (no pipeline, nothing to report).
+// event stream's wire cost and the detector goroutine's busy time against
+// the run's wall time. It returns nil for synchronous runs (no pipeline,
+// nothing to report).
 //
 // On a single core the pipeline cannot beat the synchronous run — the busy
-// figures then say how much detection work would overlap with compute once
-// cores are available, which is why the lines spell out the "max of the
+// figure then says how much detection work would overlap with compute once
+// cores are available, which is why the line spells out the "max of the
 // two sides" floor instead of promising a speedup.
 func PipelineReport(rep *stint.Report) []string {
-	label, workers, _, ok := StageBusy(rep)
-	if !ok {
+	st := rep.Stats
+	busy := st.PipelineDetectTime
+	if busy <= 0 {
 		return nil
 	}
-	var stream []string
-	if st := rep.Stats; st.EventsStreamed > 0 {
-		stream = []string{fmt.Sprintf(
+	var lines []string
+	if st.EventsStreamed > 0 {
+		lines = append(lines, fmt.Sprintf(
 			"event stream: %d events in %d bytes (%.2f B/event)",
 			st.EventsStreamed, st.StreamBytes,
-			float64(st.StreamBytes)/float64(st.EventsStreamed))}
+			float64(st.StreamBytes)/float64(st.EventsStreamed)))
 	}
-	if rep.ShardBusy == nil {
-		return append(stream, fmt.Sprintf(
-			"detector-goroutine busy %v of %v wall (%s; multi-core floor is max of the two sides)",
-			workers.Round(time.Microsecond),
-			rep.WallTime.Round(time.Microsecond),
-			pct(workers, rep.WallTime)))
-	}
-	lines := append(stream, fmt.Sprintf(
-		"sharded detection: %d workers busy %v total of %v wall (label stage busy %v, %d label snapshots; multi-core floor is max of any side)",
-		len(rep.ShardBusy),
-		workers.Round(time.Microsecond),
+	return append(lines, fmt.Sprintf(
+		"detector-goroutine busy %v of %v wall (%s; multi-core floor is max of the two sides)",
+		busy.Round(time.Microsecond),
 		rep.WallTime.Round(time.Microsecond),
-		label.Round(time.Microsecond),
-		rep.LabelViewSnapshots))
-	for i, busy := range rep.ShardBusy {
-		line := fmt.Sprintf("  shard %d busy %v (%s of detect work)",
-			i, busy.Round(time.Microsecond), pct(busy, workers))
-		if rep.ShardLoad != nil {
-			l := rep.ShardLoad[i]
-			line += fmt.Sprintf(", scanned %d/%d batches (skipped %s), %d ring waits",
-				l.BatchesScanned, l.BatchesScanned+l.BatchesSkipped,
-				pctCount(l.BatchesSkipped, l.BatchesScanned+l.BatchesSkipped),
-				l.RingWaits)
-			if l.BlocksDecoded > 0 {
-				// Events per decode block says how well the stream blocks for
-				// this worker (near 64 is healthy; low means structure-dense
-				// or tiny batches), and the decode share says how much of its
-				// busy time went to block decode itself rather than page
-				// splitting and detection.
-				line += fmt.Sprintf(", %.1f ev/blk (decode %s of busy)",
-					float64(l.EventsScanned)/float64(l.BlocksDecoded),
-					pct(l.DecodeBusy, l.Busy))
-			}
-		}
-		lines = append(lines, line)
-	}
-	if rep.ShardLoad != nil {
-		// Wait attribution: per-consumer waits distinguish a uniformly
-		// starved fleet (the label stage is the bottleneck) from one
-		// straggler pacing everyone (the low-wait outlier never waits — the
-		// ring's backpressure makes the others wait on it).
-		minW, maxW := rep.ShardLoad[0].RingWaits, rep.ShardLoad[0].RingWaits
-		for _, l := range rep.ShardLoad[1:] {
-			if l.RingWaits < minW {
-				minW = l.RingWaits
-			}
-			if l.RingWaits > maxW {
-				maxW = l.RingWaits
-			}
-		}
-		lines = append(lines, fmt.Sprintf(
-			"  ring waits per worker: max %d, min %d (uniform waits = label stage is the bottleneck; a low-wait outlier is the straggler)",
-			maxW, minW))
-	}
-	return lines
-}
-
-// pctCount formats part as a percentage of whole for plain counters.
-func pctCount(part, whole uint64) string {
-	if whole == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.0f%%", 100*float64(part)/float64(whole))
+		pct(busy, rep.WallTime)))
 }
 
 // ServeStatus renders a trace-ingest service's pool utilization — the

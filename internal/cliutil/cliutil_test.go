@@ -26,48 +26,10 @@ func TestPipelineReportAsync(t *testing.T) {
 	}
 }
 
-func TestPipelineReportSharded(t *testing.T) {
-	rep := &stint.Report{WallTime: 10 * time.Millisecond, SequencerBusy: 2 * time.Millisecond}
-	rep.ShardBusy = []time.Duration{3 * time.Millisecond, time.Millisecond}
-	rep.Stats.PipelineDetectTime = 4 * time.Millisecond
-	lines := PipelineReport(rep)
-	if len(lines) != 3 {
-		t.Fatalf("want header + 2 worker lines, got %v", lines)
-	}
-	if !strings.Contains(lines[0], "2 workers") || !strings.Contains(lines[0], "label stage busy 2ms") {
-		t.Errorf("unexpected header: %q", lines[0])
-	}
-	if !strings.Contains(lines[1], "shard 0") || !strings.Contains(lines[1], "75%") {
-		t.Errorf("unexpected worker line: %q", lines[1])
-	}
-	if !strings.Contains(lines[2], "shard 1") || !strings.Contains(lines[2], "25%") {
-		t.Errorf("unexpected worker line: %q", lines[2])
-	}
-}
-
-func TestStageBusy(t *testing.T) {
-	if _, _, _, ok := StageBusy(&stint.Report{}); ok {
-		t.Fatal("synchronous run should report ok=false")
-	}
-
-	async := &stint.Report{}
-	async.Stats.PipelineDetectTime = 5 * time.Millisecond
-	label, workers, maxWorker, ok := StageBusy(async)
-	if !ok || label != 0 || workers != 5*time.Millisecond || maxWorker != 5*time.Millisecond {
-		t.Fatalf("async split = (%v, %v, %v, %v)", label, workers, maxWorker, ok)
-	}
-
-	sharded := &stint.Report{SequencerBusy: 2 * time.Millisecond}
-	sharded.ShardBusy = []time.Duration{time.Millisecond, 3 * time.Millisecond}
-	sharded.Stats.PipelineDetectTime = 4 * time.Millisecond
-	label, workers, maxWorker, ok = StageBusy(sharded)
-	if !ok || label != 2*time.Millisecond || workers != 4*time.Millisecond || maxWorker != 3*time.Millisecond {
-		t.Fatalf("sharded split = (%v, %v, %v, %v)", label, workers, maxWorker, ok)
-	}
-}
-
-func TestPipelineReportFromRealShardedRun(t *testing.T) {
-	r, err := stint.NewRunner(stint.Options{Detector: stint.DetectorSTINT, Async: true, DetectShards: 2})
+// TestPipelineReportFromRealAsyncRun checks the readout of an actual Async
+// run: the event-stream line, then the detector-goroutine line.
+func TestPipelineReportFromRealAsyncRun(t *testing.T) {
+	r, err := stint.NewRunner(stint.Options{Detector: stint.DetectorSTINT, Async: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,46 +43,13 @@ func TestPipelineReportFromRealShardedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := PipelineReport(rep)
-	if len(lines) != 5 {
-		t.Fatalf("want stream line + header + 2 shard lines + waits line from a 2-shard run, got %v", lines)
+	if len(lines) != 2 {
+		t.Fatalf("want stream line + busy line from an Async run, got %v", lines)
 	}
 	if !strings.Contains(lines[0], "event stream") || !strings.Contains(lines[0], "B/event") {
 		t.Errorf("missing stream readout: %q", lines[0])
 	}
-	if !strings.Contains(lines[1], "label snapshots") {
-		t.Errorf("header missing snapshot count: %q", lines[1])
-	}
-	for _, line := range lines[2:4] {
-		if !strings.Contains(line, "scanned") || !strings.Contains(line, "ring waits") {
-			t.Errorf("shard line missing scan/skip readout: %q", line)
-		}
-	}
-	if !strings.Contains(lines[4], "ring waits per worker") {
-		t.Errorf("missing per-worker waits line: %q", lines[4])
-	}
-}
-
-// TestPipelineReportShardLoad pins the scan-vs-skip readout rendering from
-// a hand-built report.
-func TestPipelineReportShardLoad(t *testing.T) {
-	rep := &stint.Report{WallTime: 10 * time.Millisecond, SequencerBusy: time.Millisecond}
-	rep.ShardBusy = []time.Duration{3 * time.Millisecond, time.Millisecond}
-	rep.ShardLoad = []stint.ShardLoad{
-		{Busy: 3 * time.Millisecond, BatchesScanned: 10, BatchesSkipped: 0, RingWaits: 1},
-		{Busy: time.Millisecond, BatchesScanned: 2, BatchesSkipped: 8, RingWaits: 7},
-	}
-	rep.Stats.PipelineDetectTime = 4 * time.Millisecond
-	lines := PipelineReport(rep)
-	if len(lines) != 4 {
-		t.Fatalf("want 4 lines, got %v", lines)
-	}
-	if !strings.Contains(lines[1], "scanned 10/10 batches (skipped 0%)") || !strings.Contains(lines[1], "1 ring waits") {
-		t.Errorf("shard 0 line: %q", lines[1])
-	}
-	if !strings.Contains(lines[2], "scanned 2/10 batches (skipped 80%)") || !strings.Contains(lines[2], "7 ring waits") {
-		t.Errorf("shard 1 line: %q", lines[2])
-	}
-	if !strings.Contains(lines[3], "max 7") || !strings.Contains(lines[3], "min 1") {
-		t.Errorf("waits line: %q", lines[3])
+	if !strings.Contains(lines[1], "detector-goroutine busy") {
+		t.Errorf("missing busy readout: %q", lines[1])
 	}
 }

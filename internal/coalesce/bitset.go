@@ -28,9 +28,8 @@ import (
 
 // PageBytesBits is the log2 of the shadow-page size in bytes. Flush never
 // merges intervals across a page boundary, so every reported interval is
-// contained in one page — the invariant the sharded pipeline's page-hash
-// router and the per-page access history both rely on. It matches the
-// shadow-table page size.
+// contained in one page — the invariant the per-page access history and
+// page-local quiescing rely on. It matches the shadow-table page size.
 const PageBytesBits = 16
 
 // PageBytes is the shadow-page size in bytes (1 << PageBytesBits).

@@ -76,9 +76,8 @@ func (p *nodePool) reset() {
 // per-page read/write treaps of one detector engine) can draw from one Pool
 // via NewTreeIn, so the 512-node chunk granularity is amortized across the
 // whole page directory instead of paid per tree. A Pool is single-owner:
-// trees sharing it must belong to the same goroutine — in the sharded
-// pipeline each shard worker owns one Pool, with zero cross-shard
-// synchronization.
+// trees sharing it must belong to the same goroutine — each detector
+// engine owns one Pool, with no synchronization.
 type Pool struct {
 	nodePool
 }

@@ -52,7 +52,8 @@ func NewTree() *Tree { return NewTreeIn(NewPool()) }
 // nodes from the given shared pool. Because every tree starts from the same
 // seed and the priority stream is a per-tree field, tree shapes depend only
 // on each tree's own insertion sequence — not on pool sharing — which keeps
-// per-page trees byte-identical across shard counts.
+// each per-page tree byte-identical however many other pages share the
+// pool.
 func NewTreeIn(pool *Pool) *Tree { return &Tree{rng: treapSeed, pool: pool} }
 
 // Reset empties the tree and re-arms it for reuse: the root is dropped

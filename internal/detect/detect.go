@@ -167,13 +167,6 @@ type Stats struct {
 	// max(compute, PipelineDetectTime) instead of their sum. Populated by
 	// the stint runner's consumer, not by the engines.
 	PipelineDetectTime time.Duration
-	// BatchesSkipped counts broadcast batches shard workers took on the
-	// summary fast path: the batch's page mask proved no access could map
-	// to the worker, so it replayed only the structure events. Zero in
-	// synchronous and plain-async modes. Populated by the sharded runner's
-	// merge (summed across workers), not by the engines, and — like the
-	// other runner-populated fields — deliberately not Accumulated.
-	BatchesSkipped uint64
 	// EventsStreamed and StreamBytes describe the async event stream:
 	// logical events published through the pipeline ring and the wire bytes
 	// they occupied (StreamBytes/EventsStreamed is the stream's bytes-per-
@@ -190,17 +183,17 @@ type Stats struct {
 	// HistoryBytesPeak is the high-water mark of the engine's retained
 	// access-history footprint (history stores plus coalescing bitmaps),
 	// sampled at strand boundaries. Pool-chunk granularity makes it an
-	// estimate that varies with shard count; compare it only within one
-	// configuration.
+	// estimate: it depends on the detector and on quiescing, so compare it
+	// only within one configuration.
 	HistoryBytesPeak uint64
 }
 
-// Accumulate adds o's deterministic detection counters into s. It is the
-// sharded merge: pages are disjoint across workers and flushed intervals
-// page-contained, so per-worker counters partition the synchronous run's
-// totals and summing them restores it exactly. The runner-populated fields
-// (AllocObjects, AllocBytes, PipelineDetectTime) are owned by whoever
-// orchestrates the run and deliberately not accumulated.
+// Accumulate adds o's deterministic detection counters into s, totalling
+// the counters of several runs; the benchmark's serve-ingest workload sums
+// the per-trace Reports of its rung.stint replays with it. The runner-populated
+// fields (AllocObjects, AllocBytes, PipelineDetectTime, EventsStreamed,
+// StreamBytes) are owned by whoever orchestrates the run and deliberately
+// not accumulated.
 func (s *Stats) Accumulate(o *Stats) {
 	s.ReadAccesses += o.ReadAccesses
 	s.WriteAccesses += o.WriteAccesses
@@ -240,8 +233,8 @@ type Config struct {
 	// HistoryCapError retrievable via CapErrorOf.
 	MaxHistoryBytes uint64
 	// Quiesced, if non-nil, is a cross-goroutine registry the engine
-	// publishes quiesced page indices into, letting producer-side stages
-	// drop or de-mask accesses to dead pages.
+	// publishes quiesced page indices into, letting the Async producer
+	// drop accesses to dead pages before they are streamed.
 	Quiesced *QuiesceSet
 }
 
@@ -310,16 +303,8 @@ type Footprint struct {
 	BitPages   int // coalescing bit-hashmap pages ever allocated
 }
 
-// Add accumulates o into f (summing across shard workers).
-func (f *Footprint) Add(o Footprint) {
-	f.PoolChunks += o.PoolChunks
-	f.PageDirCap += o.PageDirCap
-	f.HistPages += o.HistPages
-	f.BitPages += o.BitPages
-}
-
-// FootprintOf returns e's warm footprint, or a zero Footprint for engines
-// that do not expose one (the no-op and oracle engines).
+// FootprintOf returns e's warm footprint, or a zero Footprint for a nil e
+// and for engines that do not expose one (the no-op and oracle engines).
 func FootprintOf(e Engine) Footprint {
 	if f, ok := e.(interface{ Footprint() Footprint }); ok {
 		return f.Footprint()
@@ -327,8 +312,8 @@ func FootprintOf(e Engine) Footprint {
 	return Footprint{}
 }
 
-// CapErrorOf returns the history-cap error e recorded, or nil — nil for
-// engines without cap support (the no-op and oracle engines) and for
+// CapErrorOf returns the history-cap error e recorded, or nil — nil for a
+// nil e, for engines without cap support (the no-op and oracle engines) and for
 // engines that stayed under Config.MaxHistoryBytes.
 func CapErrorOf(e Engine) error {
 	if c, ok := e.(interface{ CapError() error }); ok {

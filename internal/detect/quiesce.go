@@ -15,7 +15,7 @@ var ErrHistoryCap = errors.New("detect: access history exceeded MaxHistoryBytes"
 // the configured cap. It wraps ErrHistoryCap. The overshoot is bounded by
 // one strand's worth of history: the check runs at strand boundaries.
 type HistoryCapError struct {
-	Limit uint64 // the configured per-engine budget
+	Limit uint64 // the configured budget (Options.MaxHistoryBytes)
 	Bytes uint64 // the footprint estimate that tripped it
 }
 
@@ -33,7 +33,8 @@ func (e *HistoryCapError) Unwrap() error { return ErrHistoryCap }
 const quiesceSetCap = 4096
 
 // QuiesceSet is a fixed-capacity concurrent set of quiesced page indices.
-// Engines (detector goroutines) Add; producer-side stages Contains. It is
+// The engine (on the detector goroutine) Adds; the Async producer calls
+// Contains. It is
 // insert-only during a run — monotonicity is what makes producer-side drops
 // sound: once a page is observed quiesced, every event the producer has yet
 // to emit is later in the serial order than the quiesce point, so the

@@ -39,9 +39,10 @@ const (
 // histPage is one shadow page's interval access history: the paper's §4
 // observation that the two interval stores are independent per 64 KiB page.
 // Keeping the history per page (rather than one global pair of trees) is
-// what makes page-hash sharding exact: a shard that owns a page owns every
-// interval that can ever overlap intervals of that page, because coalesce
-// never emits an interval crossing a page boundary.
+// what makes quiescing exact: coalesce never emits an interval crossing a
+// page boundary, so a page's stores hold every interval that can ever
+// overlap an access to that page, and retiring them (PageQuiesceThreshold)
+// touches no other page's races.
 type histPage struct {
 	read, write store
 	races       int32 // races this page has produced (quiesce accounting)
@@ -60,8 +61,8 @@ type histPage struct {
 //     store, reporting every displaced parallel writer as a race.
 //
 // Every page's stores are deterministically seeded, so the shape of each
-// page's treap depends only on that page's own insertion sequence — the
-// property the sharded equivalence suite checks byte-for-byte.
+// page's treap depends only on that page's own insertion sequence, and
+// quiescing one page leaves every other page's trees byte-identical.
 type treeEngine struct {
 	stats     Stats
 	reach     Reach

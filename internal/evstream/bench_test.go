@@ -119,8 +119,8 @@ func BenchmarkEventEncode(b *testing.B) {
 }
 
 // BenchmarkEventDecode measures the consumer-side iteration cost per event
-// for both encodings — the price every sharded worker pays per batch it
-// cannot skip. "compact" pulls through the per-event Next shim; "compact-
+// for both encodings — the price the Async consumer pays per batch.
+// "compact" pulls through the per-event Next shim; "compact-
 // blocks" is the block decode kernel every hot consumer actually uses
 // (DecodeBlock into a stack array), the path the ≤1.5×-of-fixed target
 // applies to.
@@ -268,19 +268,5 @@ func BenchmarkEventDecodeBlock(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkSummaryStamp measures the producer-side cost of stamping one
-// access into a batch summary — the incremental hot-path price of letting
-// workers skip-scan.
-func BenchmarkSummaryStamp(b *testing.B) {
-	var sum Summary
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sum.Mask |= AccessMask(Access(OpWrite, uint64(i)*8, 8), 16, 4)
-	}
-	if sum.Mask == 0 {
-		b.Fatal("mask never set")
 	}
 }

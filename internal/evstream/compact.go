@@ -24,10 +24,7 @@ import (
 // structure events and 0 — no Op — for a block):
 //
 //	structure event:  one bare tag byte, value OpSpawn/OpRestore/OpSync
-//	                  (1..3). Structure events never ride inside blocks,
-//	                  so Summary.Ctl byte offsets keep pointing at single
-//	                  tag bytes and skip-scan replay (Batch.CtlOp) still
-//	                  reads the op without decoding anything else.
+//	                  (1..3). Structure events never ride inside blocks.
 //
 //	access block (1..BlockEvents access/range events):
 //	    marker   byte 0x00 (blockMarker: no Op in the low bits)
@@ -59,11 +56,7 @@ import (
 // delta, and a wild jump anywhere in the address space costs at most 8
 // bytes, never an error. The delta chain runs across blocks within a
 // batch but resets to zero with every batch (Batch.Reset clears prev):
-// each batch decodes independently of every other. That is load-bearing,
-// not just convenient — shard workers skip batches wholesale on the
-// Summary fast path, and the label stage may stamp summaries by decoding
-// batches the producer already finished, so no decoder can rely on state
-// carried over from a batch someone else may never have scanned.
+// each batch decodes independently of every other.
 //
 // The sequential fast path — a run of same-size accesses striding
 // through a buffer — costs 1 delta byte + 2 op bits + 1/4 control byte
@@ -180,8 +173,7 @@ func blockOverhead(pendN int) int {
 }
 
 // Reset clears the batch for reuse under either encoding, keeping the
-// storage capacity and — via Summary.Reset — the Ctl capacity. It also
-// zeroes the delta base: every batch's addresses delta from zero, so
+// storage capacity. It also zeroes the delta base: every batch's addresses delta from zero, so
 // batches decode independently (see the wire-format comment).
 func (b *Batch) Reset() {
 	b.Ev = b.Ev[:0]
@@ -192,24 +184,19 @@ func (b *Batch) Reset() {
 	b.pendExtra = 0
 	b.pendRunN = 0
 	b.pendRangeN = 0
-	b.Sum.Reset()
 }
 
-// AppendCtl appends one structure event and returns its offset in the form
-// Summary.AddCtl records: a byte offset into Buf for compact batches (the
-// staged block is sealed first, so the offset is final), an event index
-// into Ev otherwise.
-func (b *Batch) AppendCtl(op Op) int {
+// AppendCtl appends one structure event. In a compact batch the staged
+// block is sealed first: structure events are bare tag bytes between
+// blocks.
+func (b *Batch) AppendCtl(op Op) {
 	if b.compact {
 		b.seal()
-		off := len(b.Buf)
 		b.Buf = append(b.Buf, byte(op))
 		b.n++
-		return off
+		return
 	}
-	off := len(b.Ev)
 	b.Ev = append(b.Ev, Ctl(op))
-	return off
 }
 
 // AppendAccess appends one per-access event (OpRead/OpWrite). The compact
@@ -440,24 +427,10 @@ func (b *Batch) seal() {
 	b.pendRangeN = 0
 }
 
-// CtlOp returns the op of the i-th structure event recorded in the batch's
-// Summary.Ctl, resolving the offset against whichever storage form the
-// batch uses. For compact batches this reads one tag byte — skip-scan
-// replay never decodes operands.
-func (b *Batch) CtlOp(i int) Op {
-	off := b.Sum.Ctl[i]
-	if b.compact {
-		return Op(b.Buf[off] & tagOpMask)
-	}
-	return b.Ev[off].EvOp()
-}
-
 // Iter returns an iterator over the batch's events, sealing any staged
 // block first. Consumers scan both storage forms with one DecodeBlock
 // loop (or the per-event Next shim) without materializing a []Event for
-// the whole compact batch. Concurrent iteration of one batch (every shard
-// worker scans the same broadcast batch) is safe because published
-// batches are sealed and read-only; each Iter carries its own delta base.
+// the whole compact batch. Each Iter carries its own delta base.
 func (b *Batch) Iter() Iter {
 	b.seal()
 	return Iter{ev: b.Ev, buf: b.Buf, compact: b.compact}
@@ -479,16 +452,6 @@ type Iter struct {
 	blkI, blkN int
 	blk        [BlockEvents]Event
 }
-
-// Pos returns the iterator's position in the same form Summary.Ctl
-// records (byte offset into the compact buffer, event index otherwise).
-// It advances at DecodeBlock granularity: after a DecodeBlock call it
-// points at the next block boundary. Within a returned group of structure
-// events, the i-th event sits at Pos()+i of the position read *before*
-// the call — structure events are single contiguous tag bytes in a
-// compact batch and single slots in a fixed one — which is how the label
-// stage stamps Summary.Ctl without per-event decoding.
-func (it *Iter) Pos() int { return it.pos }
 
 // DecodeBlock decodes the next block of events and returns them as a
 // slice valid until the next call: into dst for compact batches (the

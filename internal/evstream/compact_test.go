@@ -20,8 +20,7 @@ type codecEvent struct {
 func (c codecEvent) appendTo(b *Batch) {
 	switch c.op {
 	case OpSpawn, OpRestore, OpSync:
-		off := b.AppendCtl(c.op)
-		b.Sum.AddCtl(off)
+		b.AppendCtl(c.op)
 	case OpRead, OpWrite:
 		b.AppendAccess(c.op, c.addr, c.size)
 	default:
@@ -36,24 +35,14 @@ func newCompactBatch(n int) *Batch {
 }
 
 // decodeBlocks drains a batch through DecodeBlock, returning the flattened
-// event sequence and the Summary.Ctl-form offset of every structure event,
-// computed the way the label stage computes them: the i-th event of a
-// returned group sits at Pos-before-the-call + i (an index for fixed
-// batches; a byte offset for compact ones, where structure events decode
-// as contiguous runs of one tag byte each).
-func decodeBlocks(b *Batch) (evs []Event, ctlOffs []int) {
+// event sequence.
+func decodeBlocks(b *Batch) (evs []Event) {
 	it := b.Iter()
 	var blk [BlockEvents]Event
 	for {
-		pos := it.Pos()
 		group := it.DecodeBlock(&blk)
 		if len(group) == 0 {
-			return evs, ctlOffs
-		}
-		for j, ev := range group {
-			if ev.EvOp() <= OpSync {
-				ctlOffs = append(ctlOffs, pos+j)
-			}
+			return evs
 		}
 		evs = append(evs, group...)
 	}
@@ -61,9 +50,7 @@ func decodeBlocks(b *Batch) (evs []Event, ctlOffs []int) {
 
 // checkCodecRoundTrip appends the program to a fixed and a compact batch and
 // asserts both decode to identical Event sequences via DecodeBlock and via
-// the per-event Next shim, that block-relative positions reproduce the
-// offsets Summary.Ctl records, that CtlOp resolves every structure event
-// from one tag byte, and that the staged-block byte accounting (pendN +
+// the per-event Next shim, and that the staged-block byte accounting (pendN +
 // pendExtra, what Full budgets against) exactly matches what seal emits.
 func checkCodecRoundTrip(t *testing.T, events []codecEvent) {
 	t.Helper()
@@ -81,8 +68,8 @@ func checkCodecRoundTrip(t *testing.T, events []codecEvent) {
 	// the staged block's exact sealed size — pin exactness, not just an
 	// upper bound.
 	pend, pre := compact.pendN+compact.pendExtra+blockOverhead(compact.pendN), len(compact.Buf)
-	fevs, fctl := decodeBlocks(fixed)
-	cevs, cctl := decodeBlocks(compact)
+	fevs := decodeBlocks(fixed)
+	cevs := decodeBlocks(compact)
 	if got := len(compact.Buf) - pre; got != pend {
 		t.Fatalf("seal emitted %d bytes for a staged block accounted at %d", got, pend)
 	}
@@ -104,19 +91,6 @@ func checkCodecRoundTrip(t *testing.T, events []codecEvent) {
 	}
 	if _, ok := cit.Next(); ok {
 		t.Fatal("compact Iter yields past the end")
-	}
-	if len(fctl) != len(fixed.Sum.Ctl) || len(cctl) != len(compact.Sum.Ctl) {
-		t.Fatalf("found %d (fixed) / %d (compact) ctl events, Summary recorded %d / %d",
-			len(fctl), len(cctl), len(fixed.Sum.Ctl), len(compact.Sum.Ctl))
-	}
-	for i := range fctl {
-		if fixed.Sum.Ctl[i] != int32(fctl[i]) || compact.Sum.Ctl[i] != int32(cctl[i]) {
-			t.Fatalf("ctl %d: Summary offsets (%d, %d) != block-derived positions (%d, %d)",
-				i, fixed.Sum.Ctl[i], compact.Sum.Ctl[i], fctl[i], cctl[i])
-		}
-		if fixed.CtlOp(i) != compact.CtlOp(i) || fixed.CtlOp(i) > OpSync || fixed.CtlOp(i) == 0 {
-			t.Fatalf("ctl %d: CtlOp = %v (fixed) / %v (compact)", i, fixed.CtlOp(i), compact.CtlOp(i))
-		}
 	}
 	if fixed.WireBytes() != 16*len(events) {
 		t.Fatalf("fixed WireBytes = %d, want %d", fixed.WireBytes(), 16*len(events))
@@ -196,9 +170,9 @@ func TestCompactAppendRejectsOversizeOperands(t *testing.T) {
 	}
 }
 
-// TestCompactDeltaBaseResetsPerBatch pins the independence property the
-// skip-scan path relies on: after Reset, addresses delta from zero again, so
-// a batch decodes identically whether or not anyone scanned its predecessor.
+// TestCompactDeltaBaseResetsPerBatch pins batch independence: after Reset,
+// addresses delta from zero again, so a batch decodes identically whether
+// or not anyone scanned its predecessor.
 func TestCompactDeltaBaseResetsPerBatch(t *testing.T) {
 	b := newCompactBatch(4)
 	b.AppendAccess(OpRead, 0x12345678, 4)
@@ -308,8 +282,7 @@ func decodeCodecProgram(data []byte) []codecEvent {
 }
 
 // FuzzEventCodec round-trips random append programs through both storage
-// forms twice: as one big batch (checkCodecRoundTrip, which also audits Ctl
-// offsets), and streamed through tiny-capacity rings so batch boundaries,
+// forms twice: as one big batch (checkCodecRoundTrip), and streamed through tiny-capacity rings so batch boundaries,
 // Reset reuse, and the per-batch delta-base reset are all exercised. The
 // decoded event sequences must be identical.
 func FuzzEventCodec(f *testing.F) {

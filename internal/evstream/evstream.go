@@ -22,11 +22,6 @@
 // Because there is exactly one producer and one consumer, batches hand
 // over cleanly: the producer never touches a batch after Publish, the
 // consumer never touches one after Recycle.
-//
-// The package also provides BcastRing, the single-producer/multi-consumer
-// broadcast sibling used by the sharded stage graph: one labeled batch
-// published once, scanned by every shard worker, and recycled by
-// refcount once the last worker releases it.
 package evstream
 
 import (
@@ -142,20 +137,18 @@ type Stats struct {
 }
 
 // Batch is the unit the ring moves: the events in one of two storage
-// forms, plus the stamped Summary that lets shard workers skip batches
-// whose accesses cannot map to them. The producer owns a batch from Get to
-// Publish; consumers own it from Next to Recycle.
+// forms. The producer owns a batch from Get to Publish; the consumer owns
+// it from Next to Recycle.
 //
 // Exactly one storage form is active per batch: fixed batches (from
 // NewRing, and zero-value Batch literals) hold 16-byte Events in Ev;
 // compact batches (from NewCompactRing) hold the delta-packed byte stream
 // in Buf — see compact.go for the wire format. The Append methods fill
 // whichever form is active, and Iter scans either; consumers written
-// against Iter and the Len/CtlOp accessors never care which form they got.
+// against Iter and Len never care which form they got.
 type Batch struct {
 	Ev  []Event
 	Buf []byte
-	Sum Summary
 
 	n       int    // compact form: sealed event count (staged events excluded; Len adds pendN)
 	prev    uint64 // compact form: delta base (last access address)
@@ -210,11 +203,8 @@ func NewRing(depth, batchCap int) *Ring {
 // compact encoding (see compact.go) in a buffer of 4*batchCap bytes — a
 // quarter of the fixed ring's per-batch footprint, yet at the ~2-byte
 // sequential encoding still roughly twice as many events per ring
-// synchronization. The 4-bytes-per-slot sizing is deliberate: larger
-// buffers amortize handoffs further but make batches coarser, and a batch
-// is summary-skippable only if no access in it touches a worker's shard —
-// measured on the Fig5 workloads, bigger batches lose more to forgone
-// skips (and to falling out of L1) than they save in synchronization.
+// synchronization. The 4-bytes-per-slot sizing keeps a batch small enough
+// to stay in L1 between the producer's appends and the consumer's decode.
 func NewCompactRing(depth, batchCap int) *Ring {
 	return newRing(depth, batchCap, true)
 }
@@ -237,11 +227,7 @@ func (r *Ring) BatchCap() int { return r.batchCap }
 
 // Get returns an empty batch for the producer to fill — BatchCap event
 // capacity on a fixed ring, 4*BatchCap bytes on a compact ring — reusing
-// a recycled batch when one is available. The batch's summary starts
-// zeroed (empty mask, no structure offsets); whichever stage stamps
-// summaries must leave Sum.Mask meaningful (MaskAll when not summarizing)
-// before workers see the batch, so none mistakes the zero mask for
-// "skippable by everyone".
+// a recycled batch when one is available.
 func (r *Ring) Get() *Batch {
 	r.mu.Lock()
 	if n := len(r.free); n > 0 {
@@ -321,10 +307,7 @@ func (r *Ring) Next() (b *Batch, ok bool) {
 
 // Recycle returns a consumed batch to the free list. The free list is
 // bounded by the ring depth plus the producer's working batch, so a
-// misbehaving caller cannot grow it without bound. Unlike the other
-// methods, Recycle is safe to call from any goroutine — the sharded
-// pipeline recycles batches from whichever worker releases a broadcast
-// slot last.
+// misbehaving caller cannot grow it without bound.
 func (r *Ring) Recycle(b *Batch) {
 	if b == nil || (cap(b.Ev) == 0 && cap(b.Buf) == 0) {
 		return

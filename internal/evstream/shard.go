@@ -4,15 +4,14 @@ package evstream
 // events, invoking emit with the page index and piece for each. Events
 // already inside one page pass through unchanged (ranges are still
 // converted to plain access events — for runtime-coalescing detectors the
-// two hook kinds update the same bits, which is why sharding is restricted
-// to them). A zero-sized access is emitted once, on its base address's
-// page, so per-shard hook-call counts still account for it. It returns the
-// number of pieces emitted.
+// two hook kinds update the same bits). A zero-sized access is emitted
+// once, on its base address's page, so a per-page consumer still accounts
+// for the hook call. It returns the number of pieces emitted.
 //
-// Each shard worker calls PageSplit locally on every access event of a
-// broadcast batch and keeps the pieces PickShard maps to its own index;
-// the splitting work parallelizes with the worker count instead of
-// serializing on the sequencer.
+// PageSplit and PickShard were the routing half of the removed sharded
+// detection pipeline and have no caller in the runner; they stay, with
+// their unit tests, until the evstream package itself is retired (see
+// ROADMAP.md, "Prove or prune the pipelined execution modes").
 func PageSplit(ev Event, pageBits uint, emit func(page uint64, piece Event)) int {
 	op := ev.EvOp()
 	addr := ev.Addr()

@@ -191,46 +191,3 @@ func TestPickShardBoundsAndSpread(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkWorkerSplit measures one worker's per-event cost on the new
-// data path: page-split locally and keep only its own shard's pieces.
-func BenchmarkWorkerSplit(b *testing.B) {
-	evs := make([]Event, 1024)
-	rng := rand.New(rand.NewSource(1))
-	for i := range evs {
-		evs[i] = Access(OpRead, rng.Uint64()%(1<<22), uint64(rng.Intn(256))&^3)
-	}
-	var sink int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PageSplit(evs[i%len(evs)], 16, func(page uint64, _ Event) {
-			if PickShard(page, 4) == 2 {
-				sink++
-			}
-		})
-	}
-	_ = sink
-}
-
-// BenchmarkWorkerScan measures a worker scanning a full 4096-event batch:
-// the broadcast-ring replacement for the old sequencer fan-out loop. Every
-// worker does this scan, but in parallel, and nothing is copied.
-func BenchmarkWorkerScan(b *testing.B) {
-	evs := make([]Event, 4096)
-	rng := rand.New(rand.NewSource(2))
-	for i := range evs {
-		evs[i] = Access(OpWrite, rng.Uint64()%(1<<24), 8)
-	}
-	var sink uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, ev := range evs {
-			PageSplit(ev, 16, func(page uint64, piece Event) {
-				if PickShard(page, 4) == 1 {
-					sink += piece.Size()
-				}
-			})
-		}
-	}
-	_ = sink
-}

@@ -383,16 +383,16 @@ func TestServeUnknownResult(t *testing.T) {
 	}
 }
 
-// TestServeShardedPool runs the service over the sharded pipeline
-// configuration and checks it against a fresh sharded replay.
-func TestServeShardedPool(t *testing.T) {
+// TestServeAsyncPool runs the service over the Async pipeline
+// configuration and checks it against a fresh synchronous replay.
+func TestServeAsyncPool(t *testing.T) {
 	raw := recordTrace(t, 512, 64)
-	want, err := trace.Replay(bytes.NewReader(raw), trace.Options{Detector: stint.DetectorSTINT, Shards: 2})
+	want, err := trace.Replay(bytes.NewReader(raw), trace.Options{Detector: stint.DetectorSTINT})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s, err := New(Config{Runners: 2, Opts: stint.Options{
-		Detector: stint.DetectorSTINT, Async: true, DetectShards: 2,
+		Detector: stint.DetectorSTINT, Async: true,
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -406,7 +406,7 @@ func TestServeShardedPool(t *testing.T) {
 	}
 	res := pollResult(t, ts, id)
 	if res.Status != "done" || res.RaceCount != want.RaceCount {
-		t.Fatalf("sharded serve diverges: %+v, want %d races", res, want.RaceCount)
+		t.Fatalf("async serve diverges: %+v, want %d races", res, want.RaceCount)
 	}
 }
 

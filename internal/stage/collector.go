@@ -1,19 +1,18 @@
-// Canonical race recording. Every execution mode — inline, pipelined,
-// sharded — funnels its race reports through a Collector, which keeps the
+// Canonical race recording. Every detecting execution mode — inline and
+// pipelined — funnels its race reports through a Collector, which keeps the
 // MaxRacesRecorded smallest races under one total order and returns them
 // sorted. The order is a property of the program, not of the engine's
 // traversal: races are keyed first by the sequential rank of the later
 // access's strand (the serial-execution moment the race becomes
 // observable), then by the remaining fields as tie-breakers. Report.Races
-// is therefore byte-identical across sync, async, and every shard count.
+// is therefore byte-identical across sync and async.
 
 package stage
 
 import "stint/internal/detect"
 
-// keyedRace pairs a race with the sequential rank of its Cur strand. Ranks
-// come from spord (sync/async) or a depa.View (sharded) — the differential
-// tests pin the two to agree.
+// keyedRace pairs a race with the sequential rank of its Cur strand, as
+// spord.SP.SeqRank reports it.
 type keyedRace struct {
 	seq int32
 	r   detect.Race
@@ -46,8 +45,8 @@ func raceKeyLess(a, b keyedRace) bool {
 // Collector keeps the max smallest-keyed races seen so far in a binary
 // max-heap (h[0] holds the largest retained key), so a run reporting far
 // more races than MaxRacesRecorded costs O(log max) per report and no
-// allocation beyond the bounded heap. A Collector is single-owner; stages
-// collect independently and Merge on the finalizer.
+// allocation beyond the bounded heap. A Collector is single-owner: the
+// stage that owns the SP-Order structure owns the collector.
 type Collector struct {
 	max int
 	h   []keyedRace
@@ -76,7 +75,9 @@ func (c *Collector) addKeyed(kr keyedRace) {
 	c.siftDown(0)
 }
 
-// Merge folds another collector's retained races into this one.
+// Merge folds another collector's retained races into this one. Because
+// the key is a total order, collectors fed disjoint parts of a race stream
+// merge to exactly what one collector fed everything retains.
 func (c *Collector) Merge(o *Collector) {
 	for _, kr := range o.h {
 		c.addKeyed(kr)

@@ -1,9 +1,9 @@
 // Package stage holds the orchestration primitives shared by every
-// execution mode of the stint runner. A pipeline — synchronous, async, or
-// sharded — is a small graph of stages: goroutines connected by bounded
+// execution mode of the stint runner. A pipeline — synchronous or async —
+// is a small graph of stages: goroutines connected by bounded
 // rings (stint/internal/evstream), each metering its own busy time, all
 // funneling race reports into one canonical Collector. The runner files
-// (stint.go, async.go, shards.go) and trace.Replay build their pipelines
+// (stint.go, async.go) and trace.Replay build their pipelines
 // from these primitives instead of hand-rolling goroutine topologies.
 package stage
 
@@ -129,7 +129,8 @@ func (g *Graph) Wait() {
 // clock spent processing, excluding blocking waits on the stage's rings.
 // Start a lap with time.Now() before processing and Add the start once the
 // batch is done, before any blocking publish or next. AddBatch additionally
-// tallies the scanned-vs-skipped split for stages with a summary fast path.
+// tallies a scanned-vs-skipped split for a stage that can take a fast path
+// over some batches.
 type Meter struct {
 	busy    time.Duration
 	scanned uint64
@@ -140,7 +141,7 @@ type Meter struct {
 func (m *Meter) Add(t0 time.Time) { m.busy += time.Since(t0) }
 
 // AddBatch accumulates the time elapsed since t0 and counts the batch as
-// skipped (summary fast path: structure events only) or scanned in full.
+// skipped (taken on the stage's fast path) or scanned in full.
 func (m *Meter) AddBatch(t0 time.Time, skipped bool) {
 	m.busy += time.Since(t0)
 	if skipped {
@@ -159,5 +160,5 @@ func (m *Meter) Busy() time.Duration { return m.busy }
 // Scanned returns the number of batches processed in full.
 func (m *Meter) Scanned() uint64 { return m.scanned }
 
-// Skipped returns the number of batches taken on the summary fast path.
+// Skipped returns the number of batches taken on the fast path.
 func (m *Meter) Skipped() uint64 { return m.skipped }

@@ -152,9 +152,9 @@ func TestCollectorKeepsSmallestCanonical(t *testing.T) {
 	}
 }
 
-// TestCollectorMergeMatchesSingle verifies the sharded merge property:
-// races split across per-worker collectors and merged give the same slice
-// as one collector fed everything.
+// TestCollectorMergeMatchesSingle verifies the merge property: races split
+// across several collectors and merged give the same slice as one
+// collector fed everything.
 func TestCollectorMergeMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	const total, keep, workers = 300, 24, 4

@@ -36,10 +36,6 @@ type Result struct {
 	Stats    stint.Stats
 	Strands  int
 	Races    uint64
-	// Report is the first repetition's full report; the utilization table
-	// reads its per-stage busy times (Wall and Stats above stay the
-	// cross-repetition aggregates).
-	Report *stint.Report
 }
 
 // Measure runs one fresh instance of f under mode, averaged over reps runs,
@@ -83,7 +79,6 @@ func MeasureWith(f workloads.Factory, opts stint.Options, reps int) (*Result, er
 		agg.Races = report.RaceCount
 		if rep == 0 {
 			agg.Stats = report.Stats
-			agg.Report = report
 		}
 	}
 	agg.Wall /= time.Duration(reps)
@@ -469,78 +464,6 @@ func (s *Suite) Async() error {
 			s.printf(" %-9s %10v %10v %7.2fx |", "",
 				sync.Wall.Round(time.Millisecond), async.Wall.Round(time.Millisecond),
 				float64(sync.Wall)/float64(async.Wall))
-		}
-		s.printf("\n")
-	}
-	return nil
-}
-
-// Util reports the sharded stage graph's per-stage utilization on every
-// workload: wall clock, label-stage busy time, the busiest worker's busy
-// time, their ratio, and the fleet-wide share of broadcast batches the
-// workers skipped via batch summaries. With worker-side page splitting the
-// label stage only consumes structure events, so lbl/wrk far below 1 means
-// the sequencer has stopped being the scaling bottleneck — adding shards
-// keeps dividing the detection critical path — while a high skip%
-// means the per-worker full-stream scan floor is gone too: workers only
-// scan the batches whose pages hash to them. B/ev is the event stream's
-// wire cost under the compact delta encoding (16.00 with it disabled),
-// and ev/blk the fleet-wide events per decode block on full scans (near
-// 64 when the stream blocks well; low values flag degenerate blocking —
-// structure-dense streams or tiny batches — as the straggler cause).
-// Not one of the paper's figures, so Suite.All leaves it out.
-func (s *Suite) Util() error {
-	const shards = 4
-	modes := []stint.Detector{stint.DetectorCompRTS, stint.DetectorSTINT}
-	s.printf("== Stage utilization: label stage vs %d shard workers ==\n", shards)
-	s.printf("%-6s |", "")
-	for _, m := range modes {
-		s.printf(" %-9s %10s %10s %10s %8s %6s %6s %7s |", m, "wall", "label", "max-wrk", "lbl/wrk", "skip%", "B/ev", "ev/blk")
-	}
-	s.printf("\n")
-	for _, name := range workloads.Names() {
-		f, err := workloads.ByName(name, s.scale())
-		if err != nil {
-			return err
-		}
-		s.printf("%-6s |", name)
-		for _, m := range modes {
-			res, err := MeasureWith(f, stint.Options{Detector: m, Async: true, DetectShards: shards}, s.reps())
-			if err != nil {
-				return err
-			}
-			label, _, maxWorker, ok := cliutil.StageBusy(res.Report)
-			if !ok || maxWorker <= 0 {
-				s.printf(" %-9s %10v %10s %10s %8s %6s %6s %7s |", "", res.Wall.Round(time.Millisecond), "-", "-", "-", "-", "-", "-")
-				continue
-			}
-			var scanned, skipped, events, blocks uint64
-			for _, l := range res.Report.ShardLoad {
-				scanned += l.BatchesScanned
-				skipped += l.BatchesSkipped
-				events += l.EventsScanned
-				blocks += l.BlocksDecoded
-			}
-			skipPct := "-"
-			if total := scanned + skipped; total > 0 {
-				skipPct = fmt.Sprintf("%.0f%%", 100*float64(skipped)/float64(total))
-			}
-			bytesPerEv := "-"
-			if st := res.Report.Stats; st.EventsStreamed > 0 {
-				bytesPerEv = fmt.Sprintf("%.2f", float64(st.StreamBytes)/float64(st.EventsStreamed))
-			}
-			evPerBlk := "-"
-			if blocks > 0 {
-				evPerBlk = fmt.Sprintf("%.1f", float64(events)/float64(blocks))
-			}
-			s.printf(" %-9s %10v %10v %10v %7.2fx %6s %6s %7s |", "",
-				res.Wall.Round(time.Millisecond),
-				label.Round(time.Microsecond),
-				maxWorker.Round(time.Microsecond),
-				float64(label)/float64(maxWorker),
-				skipPct,
-				bytesPerEv,
-				evPerBlk)
 		}
 		s.printf("\n")
 	}

@@ -7,12 +7,6 @@ package stint
 
 import "fmt"
 
-// maxDetectShards bounds DetectShards. Shards cost a goroutine, an engine,
-// and a broadcast-ring cursor each, and the page hash cannot usefully
-// spread a program over more workers than it has distinct 64 KiB shadow
-// pages; four-digit counts are a configuration error, not a scale-up.
-const maxDetectShards = 1024
-
 // DefaultMaxRacesRecorded is the race-report budget applied when
 // Options.MaxRacesRecorded is zero. Every entry point — NewRunner,
 // trace.Replay, the dag and pipeline runners, and stint-serve — defaults
@@ -59,40 +53,6 @@ var optionsRules = []optionsRule{
 		bad: func(o *Options) bool { return o.MaxRacesRecorded < 0 },
 		err: func(o *Options) error {
 			return fmt.Errorf("stint: MaxRacesRecorded must be non-negative, got %d", o.MaxRacesRecorded)
-		},
-	},
-	{
-		bad: func(o *Options) bool { return o.DetectShards < 0 },
-		err: func(o *Options) error {
-			return fmt.Errorf("stint: DetectShards must be non-negative, got %d", o.DetectShards)
-		},
-	},
-	{
-		bad: func(o *Options) bool { return o.DetectShards > maxDetectShards },
-		err: func(o *Options) error {
-			return fmt.Errorf("stint: DetectShards %d exceeds the maximum of %d", o.DetectShards, maxDetectShards)
-		},
-	},
-	{
-		bad: func(o *Options) bool { return o.DetectShards > 0 && !o.Async },
-		err: func(o *Options) error {
-			return fmt.Errorf("stint: DetectShards requires Async; sharding splits the pipelined detector")
-		},
-	},
-	{
-		bad: func(o *Options) bool {
-			return o.DetectShards > 0 && (o.Detector == DetectorVanilla || o.Detector == DetectorCompiler)
-		},
-		err: func(o *Options) error {
-			return fmt.Errorf("stint: DetectShards requires a runtime-coalescing detector (comp+rts or a stint variant), got %v", o.Detector)
-		},
-	},
-	{
-		bad: func(o *Options) bool {
-			return o.SummaryStamping < StampAuto || o.SummaryStamping > StampLabelStage
-		},
-		err: func(o *Options) error {
-			return fmt.Errorf("stint: SummaryStamping %d is not one of StampAuto, StampProducer, StampLabelStage", o.SummaryStamping)
 		},
 	},
 	{

@@ -39,21 +39,12 @@ func TestNewRunnerValidationTable(t *testing.T) {
 		{"zero max races defaults", Options{Detector: DetectorSTINT}, ""},
 		{"positive max races", Options{Detector: DetectorSTINT, MaxRacesRecorded: 3}, ""},
 
-		// DetectShards: sign, magnitude, async requirement, detector class.
-		{"negative shards", Options{Detector: DetectorSTINT, Async: true, DetectShards: -1}, "non-negative"},
-		{"absurd shards", Options{Detector: DetectorSTINT, Async: true, DetectShards: maxDetectShards + 1}, "maximum"},
-		{"max shards ok", Options{Detector: DetectorSTINT, Async: true, DetectShards: maxDetectShards}, ""},
-		{"shards without async", Options{Detector: DetectorSTINT, DetectShards: 2}, "requires Async"},
-		{"shards vanilla", Options{Detector: DetectorVanilla, Async: true, DetectShards: 2}, "runtime-coalescing"},
-		{"shards compiler", Options{Detector: DetectorCompiler, Async: true, DetectShards: 2}, "runtime-coalescing"},
-		{"shards comp+rts ok", Options{Detector: DetectorCompRTS, Async: true, DetectShards: 2}, ""},
-		{"shards stint ok", Options{Detector: DetectorSTINT, Async: true, DetectShards: 4}, ""},
-		{"shards stint-unbalanced ok", Options{Detector: DetectorSTINTUnbalanced, Async: true, DetectShards: 2}, ""},
-		{"shards stint-skiplist ok", Options{Detector: DetectorSTINTSkiplist, Async: true, DetectShards: 2}, ""},
-		{"one shard ok", Options{Detector: DetectorSTINT, Async: true, DetectShards: 1}, ""},
-		{"zero shards ok", Options{Detector: DetectorSTINT, Async: true}, ""},
-		{"shards off ignored", Options{Detector: DetectorOff, Async: true, DetectShards: 2}, ""},
-		{"shards reach-only ignored", Options{Detector: DetectorReachOnly, Async: true, DetectShards: 2}, ""},
+		// PageQuiesceThreshold and MaxHistoryBytes: negative rejected; the
+		// history cap needs a detector with an access history.
+		{"negative quiesce", Options{Detector: DetectorSTINT, PageQuiesceThreshold: -1}, "PageQuiesceThreshold"},
+		{"negative max history", Options{Detector: DetectorSTINT, MaxHistoryBytes: -1}, "MaxHistoryBytes"},
+		{"max history reach-only", Options{Detector: DetectorReachOnly, MaxHistoryBytes: 4096}, "access history"},
+		{"max history async ok", Options{Detector: DetectorSTINT, Async: true, MaxHistoryBytes: 4096}, ""},
 
 		// Plain configurations stay legal.
 		{"default", Options{}, ""},
@@ -89,7 +80,7 @@ func TestNewRunnerValidationTable(t *testing.T) {
 // violating several rules reports the earliest one, so error messages are
 // stable as rules accumulate.
 func TestValidateFirstViolationWins(t *testing.T) {
-	opts := Options{Detector: DetectorVanilla, Parallel: true, MaxRacesRecorded: -1, DetectShards: -5}
+	opts := Options{Detector: DetectorVanilla, Parallel: true, MaxRacesRecorded: -1, PageQuiesceThreshold: -5}
 	_, err := NewRunner(opts)
 	if err == nil || !strings.Contains(err.Error(), "Parallel") {
 		t.Fatalf("expected the Parallel rule to win, got %v", err)

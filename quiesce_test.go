@@ -20,7 +20,8 @@ const qPageWords = 1 << 14
 
 // quiesceRacyActs builds a program whose parallel overlapping writes spread
 // races over several shadow pages, including ranges that straddle page
-// boundaries — the PageSplit edge the sharded workers split locally.
+// boundaries, where one access's pieces land on pages that quiesce at
+// different times.
 func quiesceRacyActs(pages int) []act {
 	var acts []act
 	for p := 0; p < pages; p++ {
@@ -67,7 +68,7 @@ func quiesceRun(t *testing.T, opts Options, words int, acts []act) *Report {
 // TestQuiesceDifferentialModes is the tentpole equivalence check: with a
 // small PageQuiesceThreshold on a racy multi-page program, the races, race
 // count, strand count, and pages-quiesced count are identical across
-// {sync, async, shards 1/2/4} × {compact, fixed}. Full stat identity is
+// {sync, async} × {compact, fixed}. Full stat identity is
 // deliberately not asserted — the producer-side drops legitimately elide
 // hook calls the synchronous run counts. The synchronous leg is anchored
 // to the brute-force oracle: with quiescing off it reports exactly the
@@ -82,7 +83,7 @@ func TestQuiesceDifferentialModes(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("oracle found no races in the fixture program")
 	}
-	for _, d := range shardTestDetectors {
+	for _, d := range coalescingDetectors {
 		t.Run(fmt.Sprintf("%v", d), func(t *testing.T) {
 			base := Options{Detector: d, MaxRacesRecorded: 1 << 20, PageQuiesceThreshold: 2}
 			sync := quiesceRun(t, base, pages*qPageWords, acts)
@@ -125,16 +126,8 @@ func TestQuiesceDifferentialModes(t *testing.T) {
 				opts.DisableCompactEvents = nocompact
 				enc := map[bool]string{false: "compact", true: "fixed"}[nocompact]
 
-				async := opts
-				async.Async = true
-				check("async/"+enc, quiesceRun(t, async, pages*qPageWords, acts))
-
-				for _, n := range []int{1, 2, 4} {
-					sharded := async
-					sharded.DetectShards = n
-					check(fmt.Sprintf("shards=%d/%s", n, enc),
-						quiesceRun(t, sharded, pages*qPageWords, acts))
-				}
+				opts.Async = true
+				check("async/"+enc, quiesceRun(t, opts, pages*qPageWords, acts))
 			}
 		})
 	}
@@ -147,7 +140,7 @@ func TestQuiesceDifferentialModes(t *testing.T) {
 func TestQuiesceSubsetOfFullReport(t *testing.T) {
 	const pages = 4
 	acts := quiesceRacyActs(pages)
-	for _, d := range shardTestDetectors {
+	for _, d := range coalescingDetectors {
 		t.Run(fmt.Sprintf("%v", d), func(t *testing.T) {
 			off := quiesceRun(t, Options{Detector: d, MaxRacesRecorded: 1 << 20}, pages*qPageWords, acts)
 			on := quiesceRun(t, Options{Detector: d, MaxRacesRecorded: 1 << 20, PageQuiesceThreshold: 2},
@@ -210,11 +203,11 @@ func TestQuiesceRaceFreeZeroDelta(t *testing.T) {
 	modes := []Options{
 		{Detector: DetectorSTINT},
 		{Detector: DetectorSTINT, Async: true},
-		{Detector: DetectorSTINT, Async: true, DetectShards: 2},
+		{Detector: DetectorSTINT, Async: true, DisableCompactEvents: true},
 		{Detector: DetectorCompRTS, Async: true},
 	}
 	for _, opts := range modes {
-		name := fmt.Sprintf("%v-async=%v-shards=%d", opts.Detector, opts.Async, opts.DetectShards)
+		name := fmt.Sprintf("%v-async=%v-fixed=%v", opts.Detector, opts.Async, opts.DisableCompactEvents)
 		off := quiesceRun(t, opts, words, acts)
 		if off.RaceCount != 0 {
 			t.Fatalf("%s: fixture program races", name)
@@ -238,18 +231,22 @@ func TestQuiesceRaceFreeZeroDelta(t *testing.T) {
 // report, no panic) that errors.Is-matches ErrHistoryCap and errors.As-
 // exposes the budget and the tripping estimate; the Runner stays valid and
 // its next Run auto-resets, exactly like the ErrTooManyEvents recovery.
+// Every mode runs one engine, which gets the whole MaxHistoryBytes budget:
+// the error's Limit is the configured cap, sync and Async alike.
 func TestHistoryCapStructuredError(t *testing.T) {
 	const pages = 4
+	// Below the fixture's peak under every detector (about 1.7 KiB of
+	// treap history under STINT, 512 KiB of shadow pages under comp+rts).
+	const limit = 1024
 	acts := quiesceRacyActs(pages)
 	modes := []Options{
-		{Detector: DetectorSTINT, MaxHistoryBytes: 1},
-		{Detector: DetectorCompRTS, MaxHistoryBytes: 1},
-		{Detector: DetectorSTINT, Async: true, MaxHistoryBytes: 1},
-		{Detector: DetectorSTINT, Async: true, DetectShards: 2, MaxHistoryBytes: 1},
+		{Detector: DetectorSTINT, MaxHistoryBytes: limit},
+		{Detector: DetectorCompRTS, MaxHistoryBytes: limit},
+		{Detector: DetectorSTINT, Async: true, MaxHistoryBytes: limit},
+		{Detector: DetectorCompRTS, Async: true, MaxHistoryBytes: limit},
 	}
 	for _, opts := range modes {
-		name := fmt.Sprintf("%v-async=%v-shards=%d",
-			opts.Detector, opts.Async, opts.DetectShards)
+		name := fmt.Sprintf("%v-async=%v", opts.Detector, opts.Async)
 		opts.MaxRacesRecorded = 1 << 20
 		r, err := NewRunner(opts)
 		if err != nil {
@@ -273,11 +270,14 @@ func TestHistoryCapStructuredError(t *testing.T) {
 		if !errors.As(err, &capErr) {
 			t.Fatalf("%s: error is not a *HistoryCapError: %v", name, err)
 		}
-		if capErr.Bytes == 0 || capErr.Bytes <= capErr.Limit {
+		if capErr.Limit != uint64(opts.MaxHistoryBytes) {
+			t.Fatalf("%s: cap error Limit %d, want the configured %d", name, capErr.Limit, opts.MaxHistoryBytes)
+		}
+		if capErr.Bytes <= capErr.Limit {
 			t.Fatalf("%s: implausible cap error %+v", name, capErr)
 		}
 		// Recovery: the next Run auto-resets. A program with no accesses
-		// retains no history, so it completes under even this 1-byte cap.
+		// retains no history, so it completes under the cap.
 		if _, err := r.Run(func(task *Task) {
 			task.Spawn(func(*Task) {})
 			task.Sync()
@@ -297,7 +297,7 @@ func TestHistoryCapStructuredError(t *testing.T) {
 func TestQuiesceResetClearsState(t *testing.T) {
 	const pages = 4
 	acts := quiesceRacyActs(pages)
-	for _, d := range shardTestDetectors {
+	for _, d := range coalescingDetectors {
 		opts := Options{Detector: d, MaxRacesRecorded: 1 << 20, PageQuiesceThreshold: 2}
 		r, err := NewRunner(opts)
 		if err != nil {

@@ -13,16 +13,13 @@ import (
 // retained footprint stops growing once it has seen its peak workload.
 
 // reuseModes are the execution-mode configurations the reuse contract
-// covers: synchronous inline, plain pipelined, and sharded at one and four
-// workers.
+// covers: synchronous inline and pipelined.
 var reuseModes = []struct {
 	name string
 	opts Options
 }{
 	{"sync", Options{Detector: DetectorSTINT, MaxRacesRecorded: 1 << 10}},
 	{"async", Options{Detector: DetectorSTINT, MaxRacesRecorded: 1 << 10, Async: true}},
-	{"shards1", Options{Detector: DetectorSTINT, MaxRacesRecorded: 1 << 10, Async: true, DetectShards: 1}},
-	{"shards4", Options{Detector: DetectorSTINT, MaxRacesRecorded: 1 << 10, Async: true, DetectShards: 4}},
 }
 
 // reuseCompare fails the test unless the two reports agree on every

@@ -5,7 +5,7 @@
 #   scripts/benchdiff.sh emit [BENCH_REGEX] [PKG...]
 #       Run the matching benchmarks (default: BenchmarkFig5 in the root
 #       package) with -benchmem and print one JSON object per benchmark to
-#       stdout, tagged with the execution mode (sync / async / sharded,
+#       stdout, tagged with the execution mode (sync / async,
 #       derived from the benchmark name), commit, and date. `make bench-json`
 #       redirects this into BENCH_<date>.json, seeding the repo's perf
 #       trajectory. BENCHTIME overrides -benchtime (default 3x);
@@ -45,7 +45,6 @@ function modeof(line, name,   m) {
     m = get(line, "mode")
     if (m != "") return m
     if (name ~ /Fig5Async/) return "async"
-    if (name ~ /Fig5Sharded/) return "sharded"
     return "sync"
 }'
 
@@ -70,7 +69,6 @@ emit() {
             sub(/-[0-9]+$/, "", name)   # strip -GOMAXPROCS suffix
             mode = "sync"
             if (name ~ /Fig5Async/) mode = "async"
-            else if (name ~ /Fig5Sharded/) mode = "sharded"
             iters = $2
             ns = ""; bytes = ""; allocs = ""; extra = ""
             for (i = 3; i < NF; i++) {

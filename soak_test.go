@@ -44,11 +44,7 @@ func soakRun(t *testing.T, acts []act, sizes []int, d Detector) *Report {
 }
 
 func soakRunMode(t *testing.T, acts []act, sizes []int, d Detector, async bool) *Report {
-	return soakRunShards(t, acts, sizes, d, async, 0)
-}
-
-func soakRunShards(t *testing.T, acts []act, sizes []int, d Detector, async bool, shards int) *Report {
-	return soakRunOpts(t, acts, sizes, Options{Detector: d, MaxRacesRecorded: 1, Async: async, DetectShards: shards})
+	return soakRunOpts(t, acts, sizes, Options{Detector: d, MaxRacesRecorded: 1, Async: async})
 }
 
 func soakRunOpts(t *testing.T, acts []act, sizes []int, opts Options) *Report {
@@ -92,12 +88,9 @@ func TestSoakAsyncDeterminismAndSyncAgreement(t *testing.T) {
 	}
 	// Async runs must be deterministic across runs (the ring hands over
 	// batches, it never reorders) and must match the synchronous path on
-	// every counter that is not timing- or allocation-dependent.
-	norm := func(s Stats) Stats {
-		s.AccessHistoryTime, s.AllocObjects, s.AllocBytes, s.PipelineDetectTime, s.BatchesSkipped = 0, 0, 0, 0, 0
-		s.EventsStreamed, s.StreamBytes = 0, 0
-		return s
-	}
+	// every counter that is not timing- or allocation-dependent, over
+	// either event encoding.
+	norm := normStats
 	for seed := int64(20); seed < 26; seed++ {
 		acts, sizes := soakProgram(seed)
 		for _, d := range allDetectors {
@@ -111,63 +104,12 @@ func TestSoakAsyncDeterminismAndSyncAgreement(t *testing.T) {
 				t.Fatalf("seed %d %v: async diverges from sync\nasync: %+v\nsync:  %+v",
 					seed, d, norm(a.Stats), norm(s.Stats))
 			}
-		}
-	}
-}
-
-func TestSoakShardedDeterminismAndSyncAgreement(t *testing.T) {
-	if testing.Short() {
-		t.Skip("soak")
-	}
-	// Sharded runs must be deterministic across repetitions (per-page state
-	// is owned by exactly one worker, so scheduling cannot change any
-	// counter) and must match the synchronous path on every deterministic
-	// counter, for every supported detector and shard count.
-	norm := func(s Stats) Stats {
-		s.AccessHistoryTime, s.AllocObjects, s.AllocBytes, s.PipelineDetectTime, s.BatchesSkipped = 0, 0, 0, 0, 0
-		s.EventsStreamed, s.StreamBytes = 0, 0
-		return s
-	}
-	for seed := int64(30); seed < 34; seed++ {
-		acts, sizes := soakProgram(seed)
-		for _, d := range shardTestDetectors {
-			sync := soakRunMode(t, acts, sizes, d, false)
-			for _, n := range []int{1, 2, 4} {
-				a := soakRunShards(t, acts, sizes, d, true, n)
-				b := soakRunShards(t, acts, sizes, d, true, n)
-				if norm(a.Stats) != norm(b.Stats) || a.Strands != b.Strands || a.RaceCount != b.RaceCount {
-					t.Fatalf("seed %d %v shards=%d: nondeterministic sharded runs\n%+v\n%+v",
-						seed, d, n, a.Stats, b.Stats)
-				}
-				if norm(a.Stats) != norm(sync.Stats) || a.Strands != sync.Strands || a.RaceCount != sync.RaceCount {
-					t.Fatalf("seed %d %v shards=%d: sharded diverges from sync\nsharded: %+v\nsync:    %+v",
-						seed, d, n, norm(a.Stats), norm(sync.Stats))
-				}
-				// Batch summaries are a pure scan elision: with them disabled
-				// nothing skips and the report still matches sync byte for
-				// byte on every deterministic counter.
-				c := soakRunOpts(t, acts, sizes, Options{
-					Detector: d, MaxRacesRecorded: 1, Async: true,
-					DetectShards: n, DisableBatchSummaries: true,
-				})
-				if c.Stats.BatchesSkipped != 0 {
-					t.Fatalf("seed %d %v shards=%d: summaries disabled but BatchesSkipped = %d",
-						seed, d, n, c.Stats.BatchesSkipped)
-				}
-				if norm(c.Stats) != norm(sync.Stats) || c.Strands != sync.Strands || c.RaceCount != sync.RaceCount {
-					t.Fatalf("seed %d %v shards=%d: summaries-off run diverges from sync\nnosum: %+v\nsync:  %+v",
-						seed, d, n, norm(c.Stats), norm(sync.Stats))
-				}
-				// The compact encoding is a pure transport change: the fixed
-				// 16-byte encoding must produce the same report too.
-				fx := soakRunOpts(t, acts, sizes, Options{
-					Detector: d, MaxRacesRecorded: 1, Async: true,
-					DetectShards: n, DisableCompactEvents: true,
-				})
-				if norm(fx.Stats) != norm(sync.Stats) || fx.Strands != sync.Strands || fx.RaceCount != sync.RaceCount {
-					t.Fatalf("seed %d %v shards=%d: fixed-encoding run diverges from sync\nfixed: %+v\nsync:  %+v",
-						seed, d, n, norm(fx.Stats), norm(sync.Stats))
-				}
+			fx := soakRunOpts(t, acts, sizes, Options{
+				Detector: d, MaxRacesRecorded: 1, Async: true, DisableCompactEvents: true,
+			})
+			if norm(fx.Stats) != norm(s.Stats) || fx.Strands != s.Strands {
+				t.Fatalf("seed %d %v: fixed-encoding async diverges from sync\nfixed: %+v\nsync:  %+v",
+					seed, d, norm(fx.Stats), norm(s.Stats))
 			}
 		}
 	}

@@ -29,12 +29,10 @@ package stint
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/metrics"
 	"sync"
 	"time"
 
-	"stint/internal/depa"
 	"stint/internal/detect"
 	"stint/internal/evstream"
 	"stint/internal/mem"
@@ -137,47 +135,13 @@ type Options struct {
 	// under DetectorOff (there is nothing to pipeline) and is incompatible
 	// with Parallel.
 	Async bool
-	// DetectShards, when n > 0, spreads the detector side of the Async
-	// pipeline over n shard workers behind a two-stage graph. A thin label
-	// stage consumes only the structure events, stamps each batch with an
-	// immutable DePa-style reachability label snapshot (internal/depa), and
-	// broadcasts the batch unmodified to all workers; each worker filters
-	// and page-splits the access events locally, keeping the 64 KiB shadow
-	// pages that hash to its shard — it owns their access history, its own
-	// page directory, treap node pool, and coalescing buffers — and answers
-	// reachability from the read-only labels. Race reports, counts, and
-	// Stats are canonical: independent of n and identical to the
-	// synchronous path. OnRace may be invoked from any worker (serialized,
-	// but in no deterministic order across shard counts).
-	//
-	// Requires Async. Supported for the runtime-coalescing detectors
-	// (DetectorCompRTS and the STINT variants), whose hooks only update
-	// per-page state; rejected for DetectorVanilla/DetectorCompiler, and
-	// ignored for DetectorOff/DetectorReachOnly (nothing page-partitioned
-	// to shard). n = 1 runs the full sharded machinery with one worker.
-	DetectShards int
-	// DisableBatchSummaries turns off the per-batch page summaries in
-	// sharded mode, forcing every worker to scan every broadcast batch
-	// instead of skipping batches whose page mask proves they own no piece
-	// of any access (Stats.BatchesSkipped stays zero). Reports are
-	// identical either way — the summaries only elide provably irrelevant
-	// scan work. Exists for measurement (the before/after in
-	// EXPERIMENTS.md) and as an escape hatch; ignored outside sharded mode.
-	DisableBatchSummaries bool
 	// DisableCompactEvents makes the Async pipeline carry fixed 16-byte
 	// events instead of the default delta-packed compact encoding
 	// (typically 2-3 bytes per event; see Stats.StreamBytes). The encoding
 	// is invisible above the ring — reports are byte-identical with it on
-	// or off — so, like DisableBatchSummaries, this exists for measurement
-	// and as an escape hatch; ignored outside Async mode.
+	// or off — so this exists for measurement and as an escape hatch;
+	// ignored outside Async mode.
 	DisableCompactEvents bool
-	// SummaryStamping selects which pipeline stage computes the per-batch
-	// summaries (the Ctl structure offsets and page mask of
-	// DisableBatchSummaries) in sharded mode; see the StampAuto constants.
-	// The stamp is identical whichever stage computes it, so reports do not
-	// depend on this option. Ignored outside sharded mode and when
-	// summaries are disabled (the label stage then owns the MaskAll stamp).
-	SummaryStamping SummaryStamping
 	// PageQuiesceThreshold, when n > 0, retires a 64 KiB shadow page's
 	// access history once that page has produced n races: its treaps,
 	// skiplists, or shadow cells drop back onto the engine's free lists and
@@ -192,8 +156,8 @@ type Options struct {
 	PageQuiesceThreshold int
 	// MaxHistoryBytes, when n > 0, caps the detector's retained
 	// access-history footprint (history stores, shadow pages, coalescing
-	// bitmaps), estimated at strand boundaries; under DetectShards the
-	// budget divides evenly across the shard workers. On trip, Run aborts
+	// bitmaps), estimated at strand boundaries; the one engine of a sync or
+	// Async run gets the whole budget. On trip, Run aborts
 	// with an error wrapping ErrHistoryCap instead of growing further — a
 	// structured error, not a panic — and the Runner stays valid: its next
 	// Run auto-resets, exactly like the ErrTooManyEvents recovery in
@@ -203,40 +167,6 @@ type Options struct {
 	// Tracer, if set, receives every execution event (see Tracer); use
 	// stint/trace to record replayable traces. Incompatible with Parallel.
 	Tracer Tracer
-}
-
-// SummaryStamping selects the pipeline stage that stamps per-batch
-// summaries in sharded mode; see Options.SummaryStamping.
-type SummaryStamping int
-
-const (
-	// StampAuto picks the stage from the machine shape: on a single-CPU
-	// process (GOMAXPROCS 1) every stage timeshares one core, so the
-	// producer stamps as it appends — the label stage's extra decode pass
-	// would be pure added work. With two or more CPUs the mutator is the
-	// serial critical path, so the stamping moves to the label stage, which
-	// is already decoding each batch to advance the labels.
-	StampAuto SummaryStamping = iota
-	// StampProducer forces producer-side stamping: the mutator ORs each
-	// access's page mask into the batch summary as it appends.
-	StampProducer
-	// StampLabelStage forces label-stage stamping: the producer appends
-	// bare events and the label stage stamps Ctl offsets and masks during
-	// its single decode pass, shedding the per-access mask work from the
-	// mutator.
-	StampLabelStage
-)
-
-// producerStamps resolves SummaryStamping to "does the producer stamp".
-func (o *Options) producerStamps() bool {
-	switch o.SummaryStamping {
-	case StampProducer:
-		return true
-	case StampLabelStage:
-		return false
-	default:
-		return runtime.GOMAXPROCS(0) == 1
-	}
 }
 
 // Runner executes fork-join programs under one detector configuration. A
@@ -268,8 +198,7 @@ type Runner struct {
 // is populated, fixed by the Options mode:
 //
 //   - sync (and ReachOnly): sp + engine + col;
-//   - plain Async: as (ring, working batch) + cons;
-//   - Async + DetectShards: as + labels + workers + bcast;
+//   - Async: as (ring, working batch) + cons;
 //   - DetectorOff / Parallel / pure tracing: nothing.
 //
 // The OnRace closures built here capture the retained structures, so they
@@ -279,15 +208,12 @@ type warmState struct {
 	sp     *spord.SP
 	engine detect.Engine
 	col    *stage.Collector
-	// Pipelined modes.
-	as      *asyncState
-	cons    *consumeState
-	labels  *depa.Builder
-	workers []*shardWorker
-	bcast   *evstream.BcastRing[labeledBatch]
-	// quiesce is the shared quiesced-page registry (serial-projection
-	// pipelines with PageQuiesceThreshold only): engines publish, the
-	// producer and label stage consult.
+	// Async pipeline.
+	as   *asyncState
+	cons *consumeState
+	// quiesce is the shared quiesced-page registry (Async with
+	// PageQuiesceThreshold only): the engine publishes, the producer
+	// consults.
 	quiesce *detect.QuiesceSet
 }
 
@@ -305,21 +231,7 @@ func (r *Runner) ensureWarm() {
 		Mode:              r.opts.Detector,
 		TimeAccessHistory: r.opts.TimeAccessHistory,
 		QuiesceThreshold:  r.opts.PageQuiesceThreshold,
-	}
-	// The history budget divides evenly across the engines that will share
-	// it (one per shard worker); a lone engine gets the whole cap.
-	engines := 1
-	if r.opts.Async && r.opts.Detector != DetectorReachOnly {
-		if n := r.opts.DetectShards; n > 1 {
-			engines = n
-		}
-	}
-	if r.opts.MaxHistoryBytes > 0 {
-		per := uint64(r.opts.MaxHistoryBytes) / uint64(engines)
-		if per == 0 {
-			per = 1
-		}
-		cfg.MaxHistoryBytes = per
+		MaxHistoryBytes:   uint64(r.opts.MaxHistoryBytes),
 	}
 	user := r.opts.OnRace
 	maxRec := r.opts.MaxRacesRecorded
@@ -334,21 +246,15 @@ func (r *Runner) ensureWarm() {
 	case r.opts.Async:
 		w.as = newAsyncState(depth, bcap, !r.opts.DisableCompactEvents)
 		if r.opts.PageQuiesceThreshold > 0 && r.opts.Detector != DetectorReachOnly {
-			// In the serial-projection pipelines the producer is always
-			// ahead of the detector in stream order, so once a page shows
-			// up in the registry every not-yet-emitted event is past the
-			// quiesce point — the producer can drop it (and the label
-			// stage can leave it out of the stamped mask) without
-			// changing any report.
+			// The producer is always ahead of the detector in stream
+			// order, so once a page shows up in the registry every
+			// not-yet-emitted event is past the quiesce point — the
+			// producer can drop it without changing any report.
 			w.quiesce = detect.NewQuiesceSet()
 			cfg.Quiesced = w.quiesce
 			w.as.quiesce = w.quiesce
 		}
-		if n := r.opts.DetectShards; n > 0 && r.opts.Detector != DetectorReachOnly {
-			w.labels, w.workers, w.bcast = w.as.buildSharded(cfg, n, maxRec, user, !r.opts.DisableBatchSummaries, r.opts.producerStamps())
-		} else {
-			w.cons = buildConsume(cfg, r.newEngine, maxRec, user)
-		}
+		w.cons = buildConsume(cfg, r.newEngine, maxRec, user)
 	default:
 		w.sp = spord.New()
 		w.col = stage.NewCollector(maxRec)
@@ -395,15 +301,6 @@ func (r *Runner) Reset() {
 	if w.cons != nil {
 		w.cons.reset()
 	}
-	if w.labels != nil {
-		w.labels.Reset()
-	}
-	for _, sw := range w.workers {
-		sw.reset()
-	}
-	if w.bcast != nil {
-		w.bcast.Reset()
-	}
 	if w.as != nil {
 		w.as.reset()
 	}
@@ -432,8 +329,8 @@ type Report struct {
 	RaceCount uint64
 	// Races holds the MaxRacesRecorded earliest reports in a canonical
 	// order — sorted by the sequential position of each race's later
-	// access, with field tie-breakers — so the slice is identical across
-	// synchronous, Async, and every DetectShards count.
+	// access, with field tie-breakers — so the slice is identical under
+	// synchronous and Async detection.
 	Races []Race
 	// Strands is the number of strands the execution generated.
 	Strands int
@@ -441,52 +338,6 @@ type Report struct {
 	WallTime time.Duration
 	// Stats exposes the detector's internal counters.
 	Stats Stats
-	// SequencerBusy and ShardBusy report the sharded pipeline's utilization
-	// split (zero/nil otherwise): time the label stage spent consuming
-	// structure events and stamping batches, and per-worker busy time
-	// (scanning, local page splitting, and detection). Stats.
-	// PipelineDetectTime is the sum of ShardBusy in sharded mode.
-	SequencerBusy time.Duration
-	ShardBusy     []time.Duration
-	// LabelViewSnapshots counts the reachability-label snapshots the label
-	// stage took (sharded mode, zero otherwise): one covering the root
-	// strand plus one per batch whose structure events grew the label set.
-	// Batches with no spawns reuse the previous snapshot, so this is
-	// typically far below the batch count on access-dense programs.
-	LabelViewSnapshots uint64
-	// ShardLoad breaks each worker's load down further (sharded mode only,
-	// nil otherwise): busy time (ShardBusy[i] == ShardLoad[i].Busy), the
-	// scanned-vs-skipped batch split from the summary fast path, and the
-	// worker's broadcast-ring wait count. A worker with many waits was
-	// starved (ahead of the stream); the low-wait outlier is the straggler
-	// the ring's backpressure paces everyone else behind.
-	ShardLoad []ShardLoad
-}
-
-// ShardLoad is one shard worker's load breakdown; see Report.ShardLoad.
-type ShardLoad struct {
-	// Busy is the worker's processing time, excluding ring waits.
-	Busy time.Duration
-	// BatchesScanned counts broadcast batches the worker scanned in full;
-	// BatchesSkipped counts those its summary mask let it skip (structure
-	// events only). Their sum is the number of batches broadcast.
-	BatchesScanned uint64
-	BatchesSkipped uint64
-	// RingWaits counts the worker's blocking episodes waiting on the
-	// broadcast ring for the label stage to publish.
-	RingWaits uint64
-	// EventsScanned and BlocksDecoded count the logical events and decode
-	// blocks of the worker's full scans (skipped batches contribute
-	// neither). EventsScanned/BlocksDecoded is the worker's events-per-block
-	// figure: near evstream.BlockEvents when the stream blocks well, low
-	// when structure-dense or tiny batches degenerate the blocking.
-	EventsScanned uint64
-	BlocksDecoded uint64
-	// DecodeBusy estimates the time the worker spent inside block decode
-	// itself (sampled at one timed call in eight, scaled), as distinct from
-	// page splitting and detection. DecodeBusy/Busy is the decode share the
-	// block-kernel work targets.
-	DecodeBusy time.Duration
 }
 
 // Racy reports whether any race was found.
@@ -537,25 +388,23 @@ type Task struct {
 	wg           *sync.WaitGroup // parallel executors only
 }
 
-// footprint sums the retained warm capacity of every engine the Runner
-// holds; the reuse-soak suite asserts it stops growing after warm-up.
-func (r *Runner) footprint() detect.Footprint {
-	var f detect.Footprint
-	w := r.warm
-	if w == nil {
-		return f
+// engine returns the Runner's one detector engine — the inline engine or
+// the Async consumer's — or nil before the first Run and under
+// DetectorOff (FootprintOf and CapErrorOf accept nil).
+func (r *Runner) engine() detect.Engine {
+	switch w := r.warm; {
+	case w == nil:
+		return nil
+	case w.cons != nil:
+		return w.cons.engine
+	default:
+		return w.engine
 	}
-	if w.engine != nil {
-		f.Add(detect.FootprintOf(w.engine))
-	}
-	if w.cons != nil {
-		f.Add(detect.FootprintOf(w.cons.engine))
-	}
-	for _, sw := range w.workers {
-		f.Add(detect.FootprintOf(sw.engine))
-	}
-	return f
 }
+
+// footprint reports the retained warm capacity of the Runner's engine; the
+// reuse-soak suite asserts it stops growing after warm-up.
+func (r *Runner) footprint() detect.Footprint { return detect.FootprintOf(r.engine()) }
 
 // Run executes root to completion (with an implicit final sync) and
 // returns the report. The Runner's retained detector state is built on
@@ -576,27 +425,17 @@ func (r *Runner) Run(root TaskFunc) (*Report, error) {
 		// maintained but memory hooks are skipped at the dispatch layer,
 		// matching the paper's near-zero "reach." column.
 		rs.hooks = r.opts.Detector != DetectorReachOnly
-		maxRec := r.opts.MaxRacesRecorded
 		switch {
 		case r.opts.Async:
-			// Pipelined detection: SP-Order (or the depa labels, when
-			// sharded) and the engine(s) live behind the event stream as a
-			// stage graph; the consumer stages own the race collectors and
-			// user OnRace calls. rep is safe to read once drain() has
+			// Pipelined detection: SP-Order and the engine live behind
+			// the event stream; the consumer stage owns the race collector
+			// and user OnRace calls. rep is safe to read once drain() has
 			// waited out the graph.
 			rs.async = w.as
 			if w.as.graph == nil {
 				w.as.graph = stage.NewGraph()
 			}
-			if w.workers != nil {
-				// StampAuto reads the machine shape, so re-resolve the
-				// stamping stage each run rather than freezing the
-				// first run's answer into the warm state.
-				w.as.setSharded(w.as.shards, w.as.summarize, r.opts.producerStamps())
-				w.as.launchSharded(w.labels, w.workers, w.bcast, maxRec)
-			} else {
-				w.as.launchConsume(w.cons)
-			}
+			w.as.launchConsume(w.cons)
 		default:
 			rs.sp = w.sp
 			rs.engine = w.engine
@@ -632,15 +471,6 @@ func (r *Runner) Run(root TaskFunc) (*Report, error) {
 		rep.Stats = pipe.stats
 		rep.RaceCount = rep.Stats.Races
 		rep.Races = pipe.races
-		rep.SequencerBusy = pipe.seqBusy.Busy()
-		rep.LabelViewSnapshots = pipe.viewSnaps
-		if load := pipe.shardLoad; load != nil {
-			rep.ShardLoad = load
-			rep.ShardBusy = make([]time.Duration, len(load))
-			for i, l := range load {
-				rep.ShardBusy[i] = l.Busy
-			}
-		}
 	} else {
 		if rs.sp != nil {
 			rep.Strands = rs.sp.StrandCount()
@@ -666,31 +496,9 @@ func (r *Runner) Run(root TaskFunc) (*Report, error) {
 	return rep, nil
 }
 
-// capError collects the first history-cap error recorded by any of the
-// Runner's engines (worker order, so the answer is deterministic for a
-// deterministic workload split).
-func (r *Runner) capError() error {
-	w := r.warm
-	if w == nil {
-		return nil
-	}
-	if w.engine != nil {
-		if err := detect.CapErrorOf(w.engine); err != nil {
-			return err
-		}
-	}
-	if w.cons != nil {
-		if err := detect.CapErrorOf(w.cons.engine); err != nil {
-			return err
-		}
-	}
-	for _, sw := range w.workers {
-		if err := detect.CapErrorOf(sw.engine); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// capError returns the history-cap error the Runner's engine recorded, if
+// any.
+func (r *Runner) capError() error { return detect.CapErrorOf(r.engine()) }
 
 // Spawn runs f as a subtask that is logically parallel with the caller's
 // continuation. Under serial detection f executes immediately (depth-first,

@@ -158,15 +158,9 @@ type Options struct {
 	// the decoder goroutine streams events to a detector goroutine instead
 	// of detecting inline. The Report is identical either way.
 	Async bool
-	// Shards > 0 additionally partitions detection across that many workers
-	// (stint.Options.DetectShards; implies Async): replay then runs the
-	// same stage graph a live run does — label stage, broadcast ring, and
-	// worker-side page splitting. Subject to the same detector restrictions
-	// as the live option.
-	Shards int
 	// NoCompact replays the async pipeline over the fixed 16-byte event
 	// encoding instead of the default compact one
-	// (stint.Options.DisableCompactEvents); ignored without Async/Shards.
+	// (stint.Options.DisableCompactEvents); ignored without Async.
 	NoCompact bool
 	// Runner, when non-nil, replays through the caller's Runner instead of
 	// constructing a fresh one. The Runner's own Options govern the replay:
@@ -198,8 +192,7 @@ var ErrTooManyEvents = errors.New("trace: event budget exceeded")
 // decoder drives a replayed execution through the public stint API: the
 // trace's structure events become Task.Spawn/Sync calls and its access
 // events become the *At hooks, so a replay exercises exactly the machinery
-// a live run does — including, when requested, the async pipeline and
-// sharded detection.
+// a live run does — including, when requested, the async pipeline.
 type decoder struct {
 	br        *bufio.Reader
 	lastAddr  mem.Addr
@@ -381,8 +374,7 @@ func Replay(src io.Reader, opts Options) (*stint.Report, error) {
 			OnRace:               opts.OnRace,
 			MaxRacesRecorded:     opts.MaxRacesRecorded,
 			TimeAccessHistory:    opts.TimeAccessHistory,
-			Async:                opts.Async || opts.Shards > 0,
-			DetectShards:         opts.Shards,
+			Async:                opts.Async,
 			DisableCompactEvents: opts.NoCompact,
 			PageQuiesceThreshold: opts.PageQuiesceThreshold,
 			MaxHistoryBytes:      opts.MaxHistoryBytes,

@@ -148,8 +148,8 @@ func TestReplayMatchesDirectRun(t *testing.T) {
 	}
 }
 
-func TestReplayAsyncAndShardedMatchSync(t *testing.T) {
-	// Replaying through the async pipeline — and through sharded detection —
+func TestReplayAsyncMatchesSync(t *testing.T) {
+	// Replaying through the async pipeline, over either event encoding,
 	// must reproduce the synchronous replay's Report exactly: same canonical
 	// races, same strand count, same deterministic counters.
 	for seed := int64(100); seed < 120; seed++ {
@@ -162,8 +162,8 @@ func TestReplayAsyncAndShardedMatchSync(t *testing.T) {
 		}
 		for _, opts := range []Options{
 			{Detector: stint.DetectorSTINT, MaxRacesRecorded: 1 << 20, Async: true},
-			{Detector: stint.DetectorSTINT, MaxRacesRecorded: 1 << 20, Shards: 2},
-			{Detector: stint.DetectorCompRTS, MaxRacesRecorded: 1 << 20, Shards: 3},
+			{Detector: stint.DetectorSTINT, MaxRacesRecorded: 1 << 20, Async: true, NoCompact: true},
+			{Detector: stint.DetectorCompRTS, MaxRacesRecorded: 1 << 20, Async: true},
 		} {
 			got, err := Replay(bytes.NewReader(raw), opts)
 			if err != nil {
@@ -180,11 +180,6 @@ func TestReplayAsyncAndShardedMatchSync(t *testing.T) {
 				t.Fatalf("seed %d %+v: verdict %v vs sync %v", seed, opts, got.Racy(), sync.Racy())
 			}
 		}
-	}
-	// Shards with an unsupported detector surface the live validation error.
-	raw := record(t, []action{{kind: 's', idx: 1}})
-	if _, err := Replay(bytes.NewReader(raw), Options{Detector: stint.DetectorVanilla, Shards: 2}); err == nil {
-		t.Error("sharded replay accepted DetectorVanilla")
 	}
 }
 
@@ -391,14 +386,14 @@ func TestWorkloadTraceRoundTrip(t *testing.T) {
 // TestReplayReusedRunner pins the serve-side contract: replaying through a
 // caller-provided, reused Runner produces Reports byte-identical to a
 // fresh-Runner replay of the same trace, across repeated replays and
-// across both the sync and sharded pipelines.
+// across both the sync and async pipelines.
 func TestReplayReusedRunner(t *testing.T) {
 	for _, mode := range []struct {
 		name string
 		opts stint.Options
 	}{
 		{"sync", stint.Options{Detector: stint.DetectorSTINT, MaxRacesRecorded: 1 << 20}},
-		{"shards2", stint.Options{Detector: stint.DetectorSTINT, MaxRacesRecorded: 1 << 20, Async: true, DetectShards: 2}},
+		{"async", stint.Options{Detector: stint.DetectorSTINT, MaxRacesRecorded: 1 << 20, Async: true}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			reused, err := stint.NewRunner(mode.opts)
@@ -413,7 +408,6 @@ func TestReplayReusedRunner(t *testing.T) {
 					Detector:         mode.opts.Detector,
 					MaxRacesRecorded: mode.opts.MaxRacesRecorded,
 					Async:            mode.opts.Async,
-					Shards:           mode.opts.DetectShards,
 				})
 				if err != nil {
 					t.Fatalf("seed %d fresh: %v", seed, err)
